@@ -642,20 +642,32 @@ def analyze_population(
     pool = ProcessPoolExecutor(max_workers=n_workers)
 
     def submit_ready() -> None:
+        nonlocal pool
         limit = 1 if suspects else window
         while queue and len(in_flight) < limit:
             index, attempt = queue.popleft()
             deadline = (time.monotonic() + timeout) if timeout is not None else None
-            future = pool.submit(
-                _analyze_worker,
-                programs[index],
-                config,
-                cache_root,
-                index=index,
-                attempt=attempt,
-                plan=plan if plan else None,
-                spool_dir=spool_dir,
-            )
+            try:
+                future = pool.submit(
+                    _analyze_worker,
+                    programs[index],
+                    config,
+                    cache_root,
+                    index=index,
+                    attempt=attempt,
+                    plan=plan if plan else None,
+                    spool_dir=spool_dir,
+                )
+            except BrokenProcessPool:
+                # A worker died after the last wait() returned.  Its
+                # in-flight futures carry the breakage to the loop below,
+                # which respawns the pool; with none left in flight,
+                # nothing would, so respawn here.
+                queue.appendleft((index, attempt))
+                if in_flight:
+                    return
+                pool = _respawn_pool(pool, n_workers)
+                continue
             in_flight[future] = _Task(index, attempt, deadline)
 
     def handle_attempt_failure(

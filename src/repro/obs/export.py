@@ -137,14 +137,15 @@ def _render_vm_tiers(metrics: Dict[str, Dict]) -> List[str]:
         f"  instructions {instructions:>14,.0f}",
         f"  fast+superblock steps {fast:>5,.0f} ({share:.1f}% off the slow path)",
     ]
+    # Always shown, zeros included: short runs that never get hot enough
+    # to compile are the common case, and "0 compiled" says so.
     compiled = _metric_total(metrics, "vm.superblocks.compiled")
     entries = _metric_total(metrics, "vm.superblocks.entries")
     guard_exits = _metric_total(metrics, "vm.superblocks.guard_exits")
-    if compiled or entries or guard_exits:
-        lines.append(
-            f"  superblocks: {compiled:,.0f} compiled, {entries:,.0f} entries, "
-            f"{guard_exits:,.0f} guard exits"
-        )
+    lines.append(
+        f"  superblocks: {compiled:,.0f} compiled, {entries:,.0f} entries, "
+        f"{guard_exits:,.0f} guard exits"
+    )
     return lines
 
 

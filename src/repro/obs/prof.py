@@ -7,8 +7,10 @@ without ad-hoc cProfile runs:
 
 * **VM execution by tier** — ``vm;slow`` (recording/taint dispatch),
   ``vm;fast`` (predecoded untainted loop), ``vm;superblock;region@0x…``
-  (one node per compiled hot region) plus ``vm;superblock;guard_exit``
-  (count-only: refused dispatches; their time stays on the region node);
+  (one node per compiled hot region), ``vm;superblock;compile`` (one count
+  per region compiled; its time is taken out of the tier that triggered
+  it) and ``vm;superblock;guard_exit`` (count-only: refused dispatches;
+  their time stays on the region node);
 * **API dispatch per handler** — ``api;<Name>`` total with
   ``api;<Name>;read_args`` (the ``read_stack_args`` pre-read) split out,
   so body time is the handler node's *self* time;

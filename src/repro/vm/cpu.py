@@ -99,13 +99,20 @@ class _ProfAcc:
     granularity, not per instruction.
     """
 
-    __slots__ = ("slow_s", "slow_n", "fast_s", "fast_n", "regions", "guard_exits")
+    __slots__ = (
+        "slow_s", "slow_n", "fast_s", "fast_n", "compile_s", "compile_n",
+        "regions", "guard_exits",
+    )
 
     def __init__(self) -> None:
         self.slow_s = 0.0
         self.slow_n = 0
         self.fast_s = 0.0
         self.fast_n = 0
+        #: Region compiles inside ``Region.warm()``: billed to their own
+        #: node, not to the tier segment that happened to trigger them.
+        self.compile_s = 0.0
+        self.compile_n = 0
         #: region entry idx -> [entries, seconds] (one profile node each).
         self.regions: Dict[int, list] = {}
         self.guard_exits = 0
@@ -115,6 +122,8 @@ class _ProfAcc:
             prof.add("vm;slow", self.slow_s, self.slow_n)
         if self.fast_n:
             prof.add("vm;fast", self.fast_s, self.fast_n)
+        if self.compile_n:
+            prof.add("vm;superblock;compile", self.compile_s, self.compile_n)
         for idx in sorted(self.regions):
             entries, seconds = self.regions[idx]
             prof.add(f"vm;superblock;region@0x{TEXT_BASE + idx:08x}", seconds, entries)
@@ -774,6 +783,7 @@ class CPU:
         steps0 = self.steps
         sb_steps = 0
         sb_s = 0.0
+        compile0 = acc.compile_s
         t_start = perf()
         try:
             while True:
@@ -790,7 +800,7 @@ class CPU:
                     if region is not None:
                         fn = region.fn
                         if fn is None:
-                            fn = region.warm()
+                            fn = self._warm_profiled(region, acc)
                         if fn is not None:
                             cell = regions.get(idx)
                             if cell is None:
@@ -857,8 +867,19 @@ class CPU:
             if sb is not None:
                 self._sb_entries += entered
                 self._sb_guard_exits += guards
-            acc.fast_s += (perf() - t_start) - sb_s
+            acc.fast_s += (perf() - t_start) - sb_s - (acc.compile_s - compile0)
             acc.fast_n += (self.steps - steps0) - sb_steps
+
+    def _warm_profiled(self, region, acc: "_ProfAcc"):
+        """``region.warm()`` with a compile it triggers billed to
+        ``vm;superblock;compile``; cold entries add no timer."""
+        sb = self._superblocks
+        before = sb.compile_s
+        fn = region.warm()
+        if fn is not None:
+            acc.compile_s += sb.compile_s - before
+            acc.compile_n += 1
+        return fn
 
     def _run_superblocks_profiled(self, acc: "_ProfAcc") -> None:
         """Profiled twin of ``_run_superblocks``: identical control flow
@@ -891,7 +912,7 @@ class CPU:
                     continue
                 fn = region.fn
                 if fn is None:
-                    fn = region.warm()
+                    fn = self._warm_profiled(region, acc)
                     if fn is None:
                         # Still cold: step through it per-instruction.
                         region = None

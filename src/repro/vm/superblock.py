@@ -44,15 +44,29 @@ Python call per region instead of a dispatch-loop probe per transition; the
 dispatch loops treat a returned Region as a pre-resolved probe and apply
 the same warm/guard/futility bookkeeping they would after a table lookup.
 
+Hotness counts **executed steps, not entries**.  Each cold entry adds the
+region's length to ``Region.count``, and a loop's back-edge re-enters its
+own entry, so every iteration counts.  A region compiles once its count
+reaches the threshold (``DEFAULT_THRESHOLD``): the step count at which a
+compile, ~0.75 ms of ``compile()``/``exec`` per region, is paid back by
+the per-step saving over the predecoded fast tier.  Stalling and unpack
+loops cross it within a few hundred iterations.  The short regions of
+typical survey and family samples, a few instructions entered a handful of
+times per run, never do: they stay on the fast tier, where they are
+cheaper than their compile.  ``superblock_threshold=0`` compiles every
+region on first entry.
+
 The region table is cached on the ``Program`` keyed by the identity of its
 instruction list — the same invalidation rule as the decode cache — and is
 dropped by pickling, so hotness accumulates across the many short re-runs of
 Phase II inside one process but never crosses process or snapshot boundaries.
+Compiled code is never shared between ``Program`` objects.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -64,11 +78,18 @@ from .program import Program
 
 _M = 0xFFFFFFFF
 
-#: Compile a region once it has been entered this many times.  Hot loops
-#: self-heat: every back-edge taken in per-instruction mode re-dispatches at
-#: the region entry pc, so a stalling loop crosses any threshold in its first
-#: few iterations.
-DEFAULT_THRESHOLD = 4
+#: Compile a region once it has executed this many steps (each cold entry
+#: adds its length).  The value is the fast tier's break-even point,
+#: measured on a 2-vCPU x86-64 container under CPython 3.11: compiling one
+#: region of a generated 200-sample population costs 0.74-0.77 ms on average
+#: (4,236 regions, 3.8 instructions each), and ``bench_vm.py``'s loop
+#: kernel runs at 0.78-0.80 us/step on the predecoded fast tier against
+#: 0.05 us/step compiled, so a compile pays for itself after ~800-1,050
+#: steps.  Under live taint a slow step costs ~5-6.5 us and break-even is
+#: ~120 steps; the fast-tier figure is the conservative one.  Short regions
+#: of survey and family samples, entered a handful of times per run, never
+#: reach it and stay on the fast tier.
+DEFAULT_THRESHOLD = 1024
 
 #: Straight-line regions shorter than this are not worth a region dispatch.
 MIN_REGION = 2
@@ -282,11 +303,16 @@ class Region:
         return len(self.body) + (1 if self.terminator is not None else 0)
 
     def warm(self):
-        """Count one entry; compile once hot.  Returns the closure or None."""
-        self.count += 1
-        if self.count >= self.cache.threshold:
+        """Count one entry as ``length`` steps; compile once the region has
+        run enough steps to pay for its compile.  Returns the closure or
+        None."""
+        self.count += self.length
+        cache = self.cache
+        if self.count >= cache.threshold:
+            started = time.perf_counter()
             self.fn = _compile_region(self)
-            self.cache.compiled += 1
+            cache.compile_s += time.perf_counter() - started
+            cache.compiled += 1
         return self.fn
 
 
@@ -888,12 +914,14 @@ class SuperblockCache:
     drops it (``Program.__getstate__``), and hotness counts accumulate
     across the many short re-runs Phase II performs in one process."""
 
-    __slots__ = ("instructions", "entries", "threshold", "compiled")
+    __slots__ = ("instructions", "entries", "threshold", "compiled", "compile_s")
 
     def __init__(self, program: Program, threshold: int) -> None:
         self.instructions = program.instructions
         self.threshold = threshold
         self.compiled = 0
+        #: Wall seconds spent compiling (the profiler's compile node).
+        self.compile_s = 0.0
         self.entries = discover_regions(program, self)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.vm import CPU, assemble
+from repro.vm.superblock import DEFAULT_THRESHOLD
 
 REGS = ("eax", "ebx", "ecx", "edx", "esi", "edi")
 MASK = 0xFFFFFFFF
@@ -126,9 +127,13 @@ def _run_all_tiers(src: str, max_steps: int = 20_000):
     * sb-eager — superblocks on with threshold 0 (every region compiles on
       first entry, the harshest tier-3 coverage);
     * sb-default — superblocks at the default hotness threshold.
+
+    Each configuration assembles its own Program: the superblock cache
+    lives on the Program, and sb-default must not inherit sb-eager's
+    compiled regions.  Also returns how many regions sb-default compiled.
     """
-    program = assemble(src)
     states = {}
+    compiled = 0
     for label, kwargs in (
         ("slow", dict(record_instructions=True)),
         ("fast", dict(record_instructions=False, superblocks=False)),
@@ -136,10 +141,12 @@ def _run_all_tiers(src: str, max_steps: int = 20_000):
                           superblock_threshold=0)),
         ("sb-default", dict(record_instructions=False, superblocks=True)),
     ):
-        cpu = CPU(program, max_steps=max_steps, **kwargs)
+        cpu = CPU(assemble(src), max_steps=max_steps, **kwargs)
         cpu.run()
         states[label] = _final_state(cpu)
-    return states
+        if label == "sb-default":
+            compiled = cpu._superblocks.compiled
+    return states, compiled
 
 
 def _assert_tier_parity(states):
@@ -152,34 +159,50 @@ loop_bodies = st.lists(
     st.one_of(binary_instr, unary_instr), min_size=1, max_size=8
 )
 
+#: Loop work as a fraction of ``DEFAULT_THRESHOLD`` steps: below 1 the
+#: sb-default loop stays cold, above 1 it compiles mid-loop.
+threshold_fractions = st.floats(min_value=0.5, max_value=2.0)
 
-@given(loop_bodies, st.integers(min_value=1, max_value=40), instructions)
+
+@given(loop_bodies, threshold_fractions, instructions)
 @settings(max_examples=60, deadline=None)
-def test_tier_parity_on_random_looped_programs(body, rounds, tail):
-    """Random back-edge loops + straight-line tails agree across all tiers."""
+def test_tier_parity_on_random_looped_programs(body, fraction, tail):
+    """Random back-edge loops + straight-line tails agree across all tiers,
+    with trip counts that straddle the default hotness threshold."""
     def fmt(instr):
         mnemonic, dst, src = instr
         if src is None:
             return f"    {mnemonic} {dst}"
         return f"    {mnemonic} {dst}, {src}"
 
+    body = [i for i in body if i[1] != "ebp"]
+    loop_len = len(body) + 2
+    rounds = max(1, round(fraction * DEFAULT_THRESHOLD / loop_len))
     src = (
         "main:\n"
         + f"    mov ebp, {rounds}\n"
         + "loop:\n"
-        + "\n".join(fmt(i) for i in body if i[1] != "ebp")
+        + "\n".join(fmt(i) for i in body)
         + "\n    dec ebp\n    jnz loop\n"
         + "\n".join(fmt(i) for i in tail)
         + "\n    halt\n"
     )
-    _assert_tier_parity(_run_all_tiers(src))
+    states, compiled = _run_all_tiers(src)
+    _assert_tier_parity(states)
+    if rounds * loop_len >= DEFAULT_THRESHOLD + loop_len:
+        assert compiled >= 1  # sb-default really ran the compiled tier
 
 
-@given(st.integers(min_value=2, max_value=64))
+@given(st.integers(min_value=2, max_value=64), threshold_fractions)
 @settings(max_examples=30, deadline=None)
-def test_tier_parity_with_taint_points(length):
-    """A tainted buffer hashed in a loop: superblocks must bail to the slow
-    path at every tainted load and still finish in the identical state."""
+def test_tier_parity_with_taint_points(length, fraction):
+    """A tainted buffer hashed in a loop, repeated so the hash work
+    straddles the default hotness threshold: superblocks must bail to the
+    slow path at every tainted load and still finish in the identical
+    state."""
+    # One hash pass over the default computer name is 120 steps, ~60 in
+    # each of the loop's two regions.
+    repeats = max(1, round(fraction * DEFAULT_THRESHOLD / 60))
     from repro.winapi import Dispatcher
     from repro.winenv import SystemEnvironment
 
@@ -190,6 +213,8 @@ def test_tier_parity_with_taint_points(length):
         "    push 0\n"
         f"    push buf\n"
         "    call @GetComputerNameA\n"
+        f"    mov edi, {repeats}\n"
+        "again:\n"
         "    xor esi, esi\n"
         "    mov ebx, 5381\n"
         "hash:\n"
@@ -202,10 +227,12 @@ def test_tier_parity_with_taint_points(length):
         "    inc esi\n"
         "    jmp hash\n"
         "done:\n"
+        "    dec edi\n"
+        "    jnz again\n"
         "    halt\n"
     )
-    program = assemble(src)
     states = {}
+    compiled = 0
     for label, kwargs in (
         ("fast", dict(superblocks=False)),
         ("sb-eager", dict(superblocks=True, superblock_threshold=0)),
@@ -214,7 +241,7 @@ def test_tier_parity_with_taint_points(length):
         env = SystemEnvironment()
         proc = env.spawn_process("t.exe")
         cpu = CPU(
-            program,
+            assemble(src),  # a fresh superblock cache per configuration
             environment=env,
             process=proc,
             dispatcher=Dispatcher(env, proc),
@@ -223,5 +250,9 @@ def test_tier_parity_with_taint_points(length):
         )
         cpu.run()
         states[label] = _final_state(cpu) + (dict(cpu.reg_taint),)
+        if label == "sb-default":
+            compiled = cpu._superblocks.compiled
     assert states["sb-eager"] == states["fast"]
     assert states["sb-default"] == states["fast"]
+    if fraction >= 1.2:
+        assert compiled >= 1  # sb-default really ran the compiled tier

@@ -27,6 +27,9 @@ from repro.obs.prof import (
     to_tree,
 )
 from repro.tracing import serialize
+from repro.vm import CPU, assemble
+from repro.winapi import Dispatcher
+from repro.winenv import SystemEnvironment
 
 
 @pytest.fixture(autouse=True)
@@ -162,6 +165,51 @@ class TestPipelineCollection:
             json.loads(serialize.analysis_to_json(analysis))
         )
         assert decoded.profile == analysis.profile
+
+
+class TestVmAttribution:
+    """Superblock compiles get their own ``vm;superblock;compile`` node,
+    one count per compile, instead of hiding in the tier that warmed."""
+
+    LOOP = (
+        "main:\n    mov ecx, 300\nspin:\n    mov eax, ecx\n    imul eax, 13\n"
+        "    add ebx, eax\n    dec ecx\n    jnz spin\n"
+        "    mov edx, ebx\n    mov esi, 7\n    halt\n"
+    )
+    TAINTED = (
+        ".section .data\nbuf: .space 16\n.section .text\n"
+        "    push 0\n    push buf\n    call @GetComputerNameA\n"
+        "    mov ecx, 40\n    xor ebx, ebx\n"
+        "spin:\n    mov eax, ecx\n    imul eax, 13\n    add ebx, eax\n"
+        "    dec ecx\n    jnz spin\n"
+        "    mov edx, ebx\n    mov esi, 7\n    halt\n"
+    )
+
+    def _profile(self, src, **kwargs):
+        obs.reset()
+        env = SystemEnvironment()
+        proc = env.spawn_process("t.exe")
+        cpu = CPU(
+            assemble(src), environment=env, process=proc,
+            dispatcher=Dispatcher(env, proc), record_instructions=False,
+            superblocks=True, **kwargs,
+        )
+        with obs.profiled():
+            cpu.run()
+        return obs.prof.snapshot(), obs.metrics.total("vm.superblocks.compiled")
+
+    @pytest.mark.parametrize("src", ["LOOP", "TAINTED"], ids=["fast", "guarded"])
+    def test_eager_compile_node_counts_compiles(self, src):
+        profile, compiled = self._profile(getattr(self, src), superblock_threshold=0)
+        assert compiled >= 2
+        count, seconds = profile["vm;superblock;compile"]
+        assert count == compiled
+        assert seconds > 0.0
+
+    def test_cold_run_has_no_compile_node(self):
+        profile, compiled = self._profile(self.TAINTED)
+        assert compiled == 0
+        assert "vm;superblock;compile" not in profile
 
 
 class TestDeterminismAcrossJobs:

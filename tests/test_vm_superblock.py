@@ -15,6 +15,7 @@ from repro import obs
 from repro.vm import CPU, assemble
 from repro.vm.cpu import ExitStatus
 from repro.vm.superblock import (
+    DEFAULT_THRESHOLD,
     FUTILE_LIMIT,
     MIN_REGION,
     SuperblockCache,
@@ -151,6 +152,86 @@ class TestCounters:
         cpu.run()
         assert cpu.status is ExitStatus.HALTED
         assert obs.metrics.total("vm.superblocks.guard_exits") >= 1
+
+
+class TestHotness:
+    """Cold -> compiled at the default threshold: hotness counts executed
+    steps (``length`` per entry), so a region compiles once it has run
+    ``DEFAULT_THRESHOLD`` steps, however those steps were split across
+    entries, loop iterations and CPUs."""
+
+    BODY = 40  # straight-line instructions in the one region
+
+    def test_rerun_program_compiles_once_after_crossing_threshold(self):
+        # One Program re-run by fresh CPUs, as Phase II re-runs a sample:
+        # hotness accumulates on the Program's cache across runs.
+        src = "main:\n" + "    add eax, 3\n    xor ebx, eax\n" * (self.BODY // 2) + "    halt\n"
+        program = assemble(src)
+        runs_to_cross = -(-DEFAULT_THRESHOLD // self.BODY)
+        for run in range(1, runs_to_cross + 3):
+            cpu = CPU(program, record_instructions=False, superblocks=True)
+            cpu.run()
+            assert cpu.status is ExitStatus.HALTED
+            assert cpu.regs["eax"] == 3 * (self.BODY // 2)
+            region = cpu._superblocks.entries[0]
+            assert region is not None and region.length == self.BODY
+            expected = 1 if run * self.BODY >= DEFAULT_THRESHOLD else 0
+            assert cpu._superblocks.compiled == expected, run
+            assert (region.fn is not None) == bool(expected)
+        assert obs.metrics.total("vm.superblocks.compiled") == 1
+
+    # A 6-instruction loop whose trip count takes it well past the
+    # threshold, then a faulting load after the loop.
+    LOOP_LEN = 6
+    ROUNDS = 2 * DEFAULT_THRESHOLD // LOOP_LEN + 7
+    LOOP_SRC = (
+        f"main:\n    mov ecx, {ROUNDS}\n"
+        "spin:\n    mov eax, ecx\n    imul eax, 17\n    xor eax, 0x1234\n"
+        "    add edx, eax\n    dec ecx\n    jnz spin\n"
+        "    mov esi, 16\n    mov eax, [esi]\n    halt\n"
+    )
+
+    def _loop_run(self, max_steps, **kwargs):
+        cpu = CPU(assemble(self.LOOP_SRC), max_steps=max_steps, **kwargs)
+        cpu.run()
+        state = (
+            cpu.status, cpu.steps, cpu.pc, dict(cpu.regs), dict(cpu.flags),
+            cpu.fault_reason,
+        )
+        return cpu, state
+
+    @pytest.mark.parametrize(
+        "max_steps",
+        [
+            200_000,                        # runs to the fault after the loop
+            DEFAULT_THRESHOLD - 5,          # cut while still cold
+            DEFAULT_THRESHOLD + 301,        # cut inside the compiled loop
+            LOOP_LEN * ROUNDS - 2,          # cut in the last iterations
+        ],
+        ids=["fault", "cold-cut", "compiled-cut", "late-cut"],
+    )
+    def test_loop_compiles_mid_loop_with_identical_state(self, max_steps):
+        _, slow = self._loop_run(max_steps, record_instructions=True)
+        _, fast = self._loop_run(
+            max_steps, record_instructions=False, superblocks=False
+        )
+        cpu, hot = self._loop_run(
+            max_steps, record_instructions=False, superblocks=True
+        )
+        assert hot == fast == slow
+        loop = cpu._superblocks.entries[1]
+        assert loop is not None and loop.kind == "loop"
+        if max_steps < DEFAULT_THRESHOLD:
+            assert loop.fn is None and cpu._superblocks.compiled == 0
+            return
+        # Compiled on the entry that crossed the threshold: the iterations
+        # before it ran per-instruction, every later one in the closure.
+        assert loop.fn is not None and cpu._superblocks.compiled == 1
+        assert DEFAULT_THRESHOLD <= loop.count < DEFAULT_THRESHOLD + self.LOOP_LEN
+        assert loop.count < self.LOOP_LEN * self.ROUNDS
+        if max_steps == 200_000:
+            assert cpu.status is ExitStatus.FAULT
+            assert f"pc 0x{cpu.program.entry + 8:08x}" in cpu.fault_reason
 
 
 class TestFaultPc:
