@@ -8,10 +8,11 @@ Three kernels pin the execution tiers against each other (see DESIGN.md,
 * **loop** — a tight 6-instruction stalling loop (the Sality/Conficker
   anti-sandbox shape): one back-edge region that iterates internally,
   paying one dispatch per *entry* instead of per iteration;
-* **taint** — the Conficker-style hash of a tainted computer name: tainted
-  loads and predicates keep control on the recording-capable slow path, so
-  superblocks must not engage (the kernel pins "no regression when the
-  guards say no").
+* **taint** — the Conficker-style hash of a tainted computer name, run as
+  the recording run (``record_instructions=True``), the only configuration
+  that carries taint.  Every step takes the slow path and superblocks are
+  never attached, so the kernel pins "no regression from merely enabling
+  the tier" on the Phase-I path.
 
 Each kernel runs with superblocks on and off and must finish in the same
 machine state either way.  Artifacts: ``_artifacts/vm.txt`` and
@@ -63,8 +64,8 @@ spin:
 def _taint_program():
     b = AsmBuilder("vm_bench_taint")
     out = b.buffer(64)
-    # 400 rounds of the tainted hash loop: every load and predicate carries
-    # GetComputerNameA's env taint, which the superblock guards reject.
+    # 400 rounds of the tainted hash loop: in the recording run every load
+    # and predicate carries GetComputerNameA's env taint.
     b.emit("    mov edi, 400")
     again = b.label("again")
     frag_computer_name_hash(b, out)
@@ -72,7 +73,7 @@ def _taint_program():
     return b.build(family="bench", category="bench")
 
 
-def _run(program, superblocks: bool):
+def _run(program, superblocks: bool, record: bool = False):
     env = SystemEnvironment()
     proc = env.spawn_process("vm-bench.exe")
     cpu = CPU(
@@ -81,7 +82,7 @@ def _run(program, superblocks: bool):
         process=proc,
         dispatcher=Dispatcher(env, proc),
         max_steps=2_000_000,
-        record_instructions=False,
+        record_instructions=record,
         superblocks=superblocks,
     )
     cpu.run()
@@ -92,10 +93,11 @@ def _state(cpu) -> tuple:
     return (cpu.status, cpu.steps, cpu.pc, dict(cpu.regs), dict(cpu.flags))
 
 
+#: (name, program factory, recording run?)
 KERNELS = (
-    ("straight", lambda: assemble(STRAIGHT, name="vm-straight")),
-    ("loop", lambda: assemble(LOOP, name="vm-loop")),
-    ("taint", _taint_program),
+    ("straight", lambda: assemble(STRAIGHT, name="vm-straight"), False),
+    ("loop", lambda: assemble(LOOP, name="vm-loop"), False),
+    ("taint", _taint_program, True),
 )
 
 
@@ -104,17 +106,23 @@ def test_superblock_kernels():
     per_sample_off = {}
     rows = []
     with obs.disabled():
-        for name, make in KERNELS:
+        for name, make, record in KERNELS:
             program = make()
-            on_s, on_cpu = min_wall_seconds(lambda: _run(program, True), repeats=3)
-            off_s, off_cpu = min_wall_seconds(lambda: _run(program, False), repeats=3)
+            on_s, on_cpu = min_wall_seconds(
+                lambda: _run(program, True, record), repeats=3
+            )
+            off_s, off_cpu = min_wall_seconds(
+                lambda: _run(program, False, record), repeats=3
+            )
             assert _state(on_cpu) == _state(off_cpu), f"{name}: state diverged"
+            if record:
+                assert on_cpu.trace.predicates, f"{name}: no taint reached a predicate"
             per_sample[name] = on_s
             per_sample_off[name] = off_s
             rows.append((name, on_cpu.steps, on_s, off_s))
 
     # Superblock-friendly kernels must actually win; the taint kernel only
-    # has to avoid regressing (guards keep it on the slow path either way).
+    # has to avoid regressing (the recording run is slow-path either way).
     assert per_sample_off["straight"] / per_sample["straight"] >= 1.3
     assert per_sample_off["loop"] / per_sample["loop"] >= 1.3
     assert per_sample["taint"] <= per_sample_off["taint"] * 1.35
@@ -143,10 +151,10 @@ def test_superblock_kernels():
     # section, so a regression in the numbers above comes with the tier or
     # region that moved.
     sections = ["VM kernels: per-tier attribution (one profiled run each)"]
-    for name, make in KERNELS:
+    for name, make, record in KERNELS:
         obs.prof.reset()
         with obs.profiled():
-            _run(make(), True)
+            _run(make(), True, record)
             profile = obs.prof.snapshot()
         sections.append("")
         sections.append(f"[{name}]")

@@ -71,10 +71,10 @@ def select_candidates(
     program: Program,
     environment: Optional[SystemEnvironment] = None,
     max_steps: int = DEFAULT_BUDGET,
-    record_instructions: bool = True,
     taint_addresses: bool = False,
 ) -> CandidateReport:
-    """Run Phase I on one sample.
+    """Run Phase I on one sample: the recording run, the only one that
+    carries taint.
 
     ``taint_addresses`` enables the pointer-taint policy (see
     :class:`~repro.vm.cpu.CPU`) — catches table-lookup taint laundering at
@@ -84,7 +84,7 @@ def select_candidates(
         program,
         environment=environment,
         max_steps=max_steps,
-        record_instructions=record_instructions,
+        record_instructions=True,
         taint_addresses=taint_addresses,
     )
     return analyze_trace(program.name, run)

@@ -57,6 +57,11 @@ def run_sample(
     initial infection); vaccine resources are SYSTEM-owned, so they still
     out-rank it.
 
+    ``record_instructions`` makes this the recording run (Phase I): it
+    keeps def/use records *and* carries taint.  Off, the run mints no
+    taint and only its API-call trace is meaningful (see
+    :class:`~repro.vm.cpu.CPU`).
+
     ``on_cpu`` is called with the constructed CPU before execution starts —
     the hook interceptors that need machine state (the snapshot recorder)
     use to bind themselves to the run.
@@ -98,8 +103,6 @@ def resume_sample(
     snapshot: "VmSnapshot",
     interceptors: Optional[Iterable[Interceptor]] = None,
     max_steps: int = DEFAULT_BUDGET,
-    record_instructions: bool = False,
-    taint_addresses: bool = False,
 ) -> RunResult:
     """Resume ``program`` from a mid-run :class:`VmSnapshot`.
 
@@ -108,14 +111,10 @@ def resume_sample(
     shared prefix, so only the divergent suffix executes.  The returned
     trace is a *complete* trace (prefix events + suffix events) — alignment
     and delta classification consume it exactly like a full rerun's.
+    Like every run but Phase I's, a resumed run neither records nor
+    carries taint.
     """
-    cpu = snapshot.build_cpu(
-        program,
-        interceptors=interceptors,
-        max_steps=max_steps,
-        record_instructions=record_instructions,
-        taint_addresses=taint_addresses,
-    )
+    cpu = snapshot.build_cpu(program, interceptors=interceptors, max_steps=max_steps)
     trace = cpu.run()
     if obs.metrics.enabled:
         obs.metrics.counter("runner.runs", status=cpu.status.value).inc()

@@ -20,7 +20,10 @@ State is split two ways:
 
 * **VM machine state** (registers, flags, sparse memory, call stack, the
   event log so far) is shallow-copied — dict/list copies over immutable
-  ints, frozen TagSets and already-final events.
+  ints and already-final events.  There is no taint to copy: snapshots
+  are taken only of non-recording runs, which mint none (see
+  ``ApiContext.mint_tag``), and :meth:`VmSnapshot.capture` refuses a
+  recording CPU.
 * **Guest environment state** (filesystem, registry, mutexes, the process
   and its handle table, the RNG mid-sequence) is captured as a structured
   :class:`~repro.winenv.snapshot.EnvSnapshot`: plain-data rows walked once
@@ -52,8 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .. import obs
-from ..taint.labels import TagSet
-from ..tracing.events import ApiCallEvent, TaintedPredicateEvent
+from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
 from ..vm.cpu import CPU
 from ..vm.memory import Memory
@@ -131,16 +133,12 @@ class VmSnapshot:
     steps: int
     next_event_id: int
     regs: Dict[str, int]
-    reg_taint: Dict[str, TagSet]
     flags: Dict[str, int]
-    flag_taint: TagSet
     callstack: List[int]
     mem_bytes: Dict[int, int]
-    mem_taint: Dict[int, TagSet]
     mem_regions: List[Tuple[int, int]]
     mem_readonly: List[Tuple[int, int]]
     api_calls: List[ApiCallEvent]
-    predicates: List[TaintedPredicateEvent]
     #: Structured environment capture (the default path): plain-data rows
     #: with handle->resource identity carried by an explicit id-map.
     env_state: Optional[EnvSnapshot] = None
@@ -156,7 +154,12 @@ class VmSnapshot:
         state is untouched since the call instruction began: only ``pc``,
         ``steps`` and the trace's event-id counter have advanced, and all
         three are rewound to the event's own values.
+
+        Raises ``ValueError`` on a recording CPU: its taint and instruction
+        records cannot be carried into a resume, which never records.
         """
+        if cpu.record_instructions:
+            raise ValueError("cannot snapshot a recording run")
         memory = cpu.memory
         prof = obs.prof if obs.prof.enabled else None
         t_start = time.perf_counter() if prof is not None else 0.0
@@ -185,16 +188,12 @@ class VmSnapshot:
             steps=event.seq,
             next_event_id=event.event_id,
             regs=dict(cpu.regs),
-            reg_taint=dict(cpu.reg_taint),
             flags=dict(cpu.flags),
-            flag_taint=cpu.flag_taint,
             callstack=list(cpu.callstack),
             mem_bytes=dict(memory._bytes),
-            mem_taint=dict(memory._taint),
             mem_regions=list(memory._regions),
             mem_readonly=list(memory.readonly_ranges),
             api_calls=list(cpu.trace.api_calls),
-            predicates=list(cpu.trace.predicates),
             env_state=env_state,
             env_blob=env_blob,
         )
@@ -207,8 +206,6 @@ class VmSnapshot:
         program,
         interceptors=None,
         max_steps: int = 200_000,
-        record_instructions: bool = False,
-        taint_addresses: bool = False,
     ) -> CPU:
         """Reconstruct a runnable CPU from this checkpoint.
 
@@ -246,14 +243,12 @@ class VmSnapshot:
 
         memory = Memory.restore(
             bytes_map=self.mem_bytes,
-            taint_map=self.mem_taint,
             regions=self.mem_regions,
             readonly_ranges=self.mem_readonly,
         )
 
         trace = Trace(program_name=program.name)
         trace.api_calls = list(self.api_calls)
-        trace.predicates = list(self.predicates)
         trace._event_ids = itertools.count(self.next_event_id)
 
         cpu = CPU.resume(
@@ -263,16 +258,12 @@ class VmSnapshot:
             dispatcher,
             memory=memory,
             regs=dict(self.regs),
-            reg_taint=dict(self.reg_taint),
             flags=dict(self.flags),
-            flag_taint=self.flag_taint,
             pc=self.pc,
             steps=self.steps,
             callstack=list(self.callstack),
             trace=trace,
             max_steps=max_steps,
-            record_instructions=record_instructions,
-            taint_addresses=taint_addresses,
         )
         if prof is not None:
             # Reconstruction only — the resumed run's execution time lands on

@@ -5,12 +5,15 @@ daemon overhead — are *attributions*: which named component of the pipeline
 the wall-clock went to.  This module is the instrument that produces them
 without ad-hoc cProfile runs:
 
-* **VM execution by tier** — ``vm;slow`` (recording/taint dispatch),
-  ``vm;fast`` (predecoded untainted loop), ``vm;superblock;region@0x…``
-  (one node per compiled hot region), ``vm;superblock;compile`` (one count
-  per region compiled; its time is taken out of the tier that triggered
-  it) and ``vm;superblock;guard_exit`` (count-only: refused dispatches;
-  their time stays on the region node);
+* **VM execution by tier** — ``vm;slow`` (the Phase-I recording run, the
+  API-call steps of every run, and runs given taint by hand), ``vm;fast``
+  (predecoded loop of non-recording runs), ``vm;superblock;region@0x…``
+  (one node per compiled hot region, entered from the fast loop),
+  ``vm;superblock;compile`` (one count per region compiled; its time is
+  taken out of the tier that triggered it) and
+  ``vm;superblock;guard_exit`` (count-only: dispatches refused because
+  fewer steps were left than the region's length; their time stays on the
+  region node);
 * **API dispatch per handler** — ``api;<Name>`` total with
   ``api;<Name>;read_args`` (the ``read_stack_args`` pre-read) split out,
   so body time is the handler node's *self* time;

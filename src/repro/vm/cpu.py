@@ -1,11 +1,12 @@
 """Interpreting CPU with inline forward taint propagation.
 
 The CPU executes one :class:`Program` inside one guest process.  It is the
-DynamoRIO-replacement: every step records a def/use
-:class:`~repro.tracing.events.InstructionRecord` (for backward slicing) and
-every tainted ``cmp``/``test`` records a
-:class:`~repro.tracing.events.TaintedPredicateEvent` (Phase-I candidate
-signal).  API calls trap into an injected dispatcher.
+DynamoRIO-replacement: in a recording run (Phase I) every step records a
+def/use :class:`~repro.tracing.events.InstructionRecord` (for backward
+slicing), labelled API calls mint taint, and every tainted ``cmp``/``test``
+records a :class:`~repro.tracing.events.TaintedPredicateEvent` (Phase-I
+candidate signal).  Every other run is untainted and compares API-call
+traces only.  API calls trap into an injected dispatcher.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ class CPU:
         Execution budget; the paper caps profiling runs at one minute, we cap
         at an instruction count.
     record_instructions:
-        Keep per-step def/use records (needed for backward slicing; can be
-        disabled for cheap population-scale profiling).
+        Make this the recording run: keep per-step def/use records (for
+        backward slicing) *and* carry taint — labelled API calls mint tags
+        only when this is on (see ``ApiContext.mint_tag``).  Off, the run
+        is untainted and executes on the fast tiers; taint injected by hand
+        before ``run()`` still propagates, on the slow path.
     taint_addresses:
         Pointer-taint policy (off by default, matching the paper): when on,
         a memory load's result also carries the taint of the registers used
@@ -217,10 +221,8 @@ class CPU:
         self._steps_at_start = 0
         self._events_at_start = len(self.trace.api_calls)
         self._predicates_at_start = len(self.trace.predicates)
-        # The untainted fast path is legal only while nothing needs to be
-        # recorded and no live taint exists anywhere in the machine; taint
-        # can only enter through an API call, so ``_call`` rechecks after
-        # every dispatcher invoke.
+        # The untainted tiers are legal only when nothing is recorded; a
+        # non-recording run mints no taint, so ``run()`` decides once.
         self._allow_fast = not record_instructions
         self._fast_mode = self._allow_fast
         self._init_superblocks(superblocks, superblock_threshold)
@@ -231,9 +233,9 @@ class CPU:
         """Attach the per-program superblock cache (tier 3).
 
         Superblocks are only legal when instruction recording is off (they
-        produce no InstructionRecords); with recording on the cache is not
-        even attached.  Unlike the fast loop they *do* run under live taint,
-        behind the guards documented in :mod:`repro.vm.superblock`."""
+        produce no InstructionRecords and carry no taint); with recording on
+        the cache is not even attached.  Like the fast loop they only run
+        while no live taint exists."""
         enabled = (
             superblock_mod.default_enabled() if superblocks is None else superblocks
         )
@@ -260,21 +262,20 @@ class CPU:
         *,
         memory: Memory,
         regs: dict,
-        reg_taint: dict,
         flags: dict,
-        flag_taint: TagSet,
         pc: int,
         steps: int,
         callstack: List[int],
         trace: Trace,
         max_steps: int = 200_000,
-        record_instructions: bool = False,
-        taint_addresses: bool = False,
         superblocks: Optional[bool] = None,
         superblock_threshold: Optional[int] = None,
     ) -> "CPU":
         """Build a CPU mid-run from restored machine state (see
         :mod:`repro.core.snapshot`) instead of a fresh image load.
+
+        A resumed run never records and starts untainted: snapshots are
+        only taken of non-recording runs, which carry no taint.
 
         ``pc``/``steps`` name the instruction the resumed run executes
         first; the budget check compares the *cumulative* step count against
@@ -287,14 +288,14 @@ class CPU:
         cpu.process = process
         cpu.dispatcher = dispatcher
         cpu.max_steps = max_steps
-        cpu.record_instructions = record_instructions
-        cpu._track = record_instructions
-        cpu.taint_addresses = taint_addresses
+        cpu.record_instructions = False
+        cpu._track = False
+        cpu.taint_addresses = False
         cpu.memory = memory
         cpu.regs = regs
-        cpu.reg_taint = reg_taint
+        cpu.reg_taint = {name: EMPTY for name in regs}
         cpu.flags = flags
-        cpu.flag_taint = flag_taint
+        cpu.flag_taint = EMPTY
         cpu.pc = pc
         cpu.steps = steps
         cpu.status = ExitStatus.RUNNING
@@ -310,8 +311,8 @@ class CPU:
         cpu._steps_at_start = steps
         cpu._events_at_start = len(trace.api_calls)
         cpu._predicates_at_start = len(trace.predicates)
-        cpu._allow_fast = not record_instructions
-        cpu._fast_mode = cpu._allow_fast and not cpu._taint_live()
+        cpu._allow_fast = True
+        cpu._fast_mode = True
         # A resumed pc may land mid-region: that index simply is not a
         # region entry, so execution proceeds per-instruction until the
         # next entry pc — no special casing needed.
@@ -319,9 +320,9 @@ class CPU:
         return cpu
 
     def _taint_live(self) -> bool:
-        """Any live taint anywhere in the machine?  Exact: ``Memory``
-        drops per-byte entries when a byte is overwritten untainted, and
-        EMPTY tag sets are falsy."""
+        """Any live taint anywhere in the machine (injected by hand before
+        ``run()``)?  Exact: ``Memory`` drops per-byte entries when a byte
+        is overwritten untainted, and EMPTY tag sets are falsy."""
         return bool(
             self.flag_taint
             or self.memory._taint
@@ -516,16 +517,18 @@ class CPU:
 
         Three execution tiers share one exact machine model:
 
-        1. ``step()`` — full slow path (taint, def/use, events);
-        2. ``_run_fast()`` — predecoded per-instruction loop while no live
-           taint exists anywhere (PR 3 boundary);
+        1. ``step()`` — full slow path (taint, def/use, events): the
+           recording run, and any run given live taint by hand;
+        2. ``_run_fast()`` — predecoded per-instruction loop for every
+           other run, which carries no taint (API calls mint none);
         3. compiled superblocks — one dispatch per hot region, entered from
-           the fast loop *and*, behind taint guards, from ``_run_superblocks``
-           while taint is live.
+           the fast loop.
+
+        The tier is chosen once, here: nothing can bring taint into a
+        non-recording run once it has started.
         """
-        if self._allow_fast:
-            # Callers may have injected taint by hand before run().
-            self._fast_mode = not self._taint_live()
+        # Callers may have injected taint by hand before run().
+        self._fast_mode = self._allow_fast and not self._taint_live()
         prof = obs.prof
         if prof.enabled:
             # Profiling is opt-in: the normal loop below stays untouched
@@ -533,27 +536,15 @@ class CPU:
             # tier-segment timers only when somebody asked for attribution.
             self._run_loop_profiled(prof)
         else:
-            guarded = self._allow_fast and self._superblocks is not None
-            entries = self._superblocks.entries if guarded else None
+            fast = self._fast_mode
             while self.status is ExitStatus.RUNNING:
-                if self._fast_mode:
+                if fast:
                     self._run_fast()
                     if self.status is not ExitStatus.RUNNING:
                         break
-                    # The instruction the fast loop bailed on (an API
-                    # call, typically) needs one full slow step.
-                    self.step()
-                elif entries is not None:
-                    # Taint is live: dispatch guarded superblocks, chain
-                    # between them, and take exact slow steps internally
-                    # between regions.  Control only comes back here when
-                    # the run ended, the fast path became legal again, or
-                    # the pc left .text (the step below raises the fault).
-                    self._run_superblocks()
-                    if self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        self.step()
-                else:
-                    self.step()
+                # The instruction the fast loop stopped at (an API call,
+                # typically) needs one full slow step.
+                self.step()
         self.trace.exit_status = self.status.value
         self.trace.steps = self.steps
         if self.process is not None and self.process.exit_code is not None:
@@ -562,7 +553,7 @@ class CPU:
         return self.trace
 
     def _run_fast(self) -> None:
-        """Inner interpreter loop while no live taint exists.
+        """Inner interpreter loop of an untainted run.
 
         Executes predecoded untainted handlers back to back — no def/use
         lists, no TagSet plumbing, no InstructionRecord bookkeeping — and
@@ -619,9 +610,8 @@ class CPU:
                                         return
                                     r = r2
                                 continue
-                            # Guard refused (chunked budget here; taint
-                            # guards cannot fire in fast mode): execute the
-                            # region per-instruction instead.
+                            # Chunked budget refused: execute the region
+                            # per-instruction instead.
                             guards += 1
                 fast = decoded[idx][1]
                 if fast is None:
@@ -643,77 +633,6 @@ class CPU:
                 self._sb_entries += entered
                 self._sb_guard_exits += guards
 
-    def _run_superblocks(self) -> None:
-        """Dispatch compiled regions while live taint exists (tier 3).
-
-        Each region's closure re-checks its own guards (untainted
-        read-before-written registers, chunked budget) and its memory loads
-        taint-bail mid-region.  Region exits chain: a closure whose exit pc
-        is another region's entry returns that Region, which dispatches
-        next without a table probe (same warm/futility bookkeeping as a
-        probed arrival).  Every pc with no dispatchable region — a gap
-        between regions, a mid-region pc after a taint-bail prefix-commit,
-        a cold, futile, or refused region — is executed with exact slow
-        steps *here*, re-probing after each, so control returns to
-        ``run()`` only when the run ended, the fast path became legal
-        again, or the pc left .text."""
-        entries = self._superblocks.entries
-        n = len(entries)
-        base = TEXT_BASE
-        futile_limit = superblock_mod.FUTILE_LIMIT
-        entered = guards = 0
-        region = None
-        try:
-            while True:
-                if region is None:
-                    idx = self.pc - base
-                    if not 0 <= idx < n:
-                        return  # the trailing slow step raises the fault
-                    region = entries[idx]
-                if region is None or region.futile >= futile_limit:
-                    # No region at this pc, or one persistently tainted:
-                    # one exact slow step, then re-probe.
-                    region = None
-                    self.step()
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                fn = region.fn
-                if fn is None:
-                    fn = region.warm()
-                    if fn is None:
-                        # Still cold: step through it per-instruction.
-                        region = None
-                        self.step()
-                        if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                            return
-                        continue
-                before = self.steps
-                r = fn(self)
-                if not r:
-                    # Guard refusal: replay the guarded instruction exactly.
-                    region.futile += 1
-                    guards += 1
-                    region = None
-                    self.step()
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                if self.steps - before <= 1:
-                    # Bailed after a single step: an entry that keeps paying
-                    # the exception for one instruction of progress is
-                    # futile too.
-                    region.futile += 1
-                else:
-                    region.futile = 0
-                entered += 1
-                if self.status is not ExitStatus.RUNNING:
-                    return
-                region = r if r is not True else None
-        finally:
-            self._sb_entries += entered
-            self._sb_guard_exits += guards
-
     # ------------------------------------------------------------------
     # profiled execution loop (obs.prof enabled)
     # ------------------------------------------------------------------
@@ -730,40 +649,26 @@ class CPU:
         """
         perf = time.perf_counter
         acc = _ProfAcc()
-        guarded = self._allow_fast and self._superblocks is not None
-        entries = self._superblocks.entries if guarded else None
         try:
-            while self.status is ExitStatus.RUNNING:
-                if self._fast_mode:
+            if self._fast_mode:
+                while self.status is ExitStatus.RUNNING:
                     self._run_fast_profiled(acc)
                     if self.status is not ExitStatus.RUNNING:
                         break
-                    # The instruction the fast loop bailed on (an API call,
+                    # The instruction the fast loop stopped at (an API call,
                     # typically) needs one full slow step.
                     t0 = perf()
                     self.step()
                     acc.slow_s += perf() - t0
                     acc.slow_n += 1
-                elif entries is not None:
-                    # Taint tier: region dispatches, chains and the exact
-                    # slow steps between regions all happen (and are
-                    # attributed) inside the twin; the trailing slow step
-                    # here only fires for an out-of-text pc (mirrors run()).
-                    self._run_superblocks_profiled(acc)
-                    if self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        t0 = perf()
-                        self.step()
-                        acc.slow_s += perf() - t0
-                        acc.slow_n += 1
-                else:
-                    # Pure slow tier: batch contiguous slow steps behind
-                    # one timer pair.
-                    t0 = perf()
-                    steps0 = self.steps
-                    while self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += self.steps - steps0
+            else:
+                # Pure slow tier: the whole run behind one timer pair.
+                t0 = perf()
+                steps0 = self.steps
+                while self.status is ExitStatus.RUNNING:
+                    self.step()
+                acc.slow_s += perf() - t0
+                acc.slow_n += self.steps - steps0
         finally:
             acc.flush(prof)
 
@@ -843,9 +748,8 @@ class CPU:
                                         return
                                     r = r2
                                 continue
-                            # Guard refused (chunked budget here; taint
-                            # guards cannot fire in fast mode): execute the
-                            # region per-instruction instead.
+                            # Chunked budget refused: execute the region
+                            # per-instruction instead.
                             guards += 1
                             acc.guard_exits += 1
                 fast = decoded[idx][1]
@@ -880,84 +784,6 @@ class CPU:
             acc.compile_s += sb.compile_s - before
             acc.compile_n += 1
         return fn
-
-    def _run_superblocks_profiled(self, acc: "_ProfAcc") -> None:
-        """Profiled twin of ``_run_superblocks``: identical control flow
-        (chaining, internal exact slow steps between regions), with
-        per-dispatch timing keyed by region entry pc and the internal slow
-        steps attributed to ``vm;slow``."""
-        perf = time.perf_counter
-        entries = self._superblocks.entries
-        n = len(entries)
-        base = TEXT_BASE
-        futile_limit = superblock_mod.FUTILE_LIMIT
-        entered = guards = 0
-        regions = acc.regions
-        region = None
-        try:
-            while True:
-                if region is None:
-                    idx = self.pc - base
-                    if not 0 <= idx < n:
-                        return  # the trailing slow step raises the fault
-                    region = entries[idx]
-                if region is None or region.futile >= futile_limit:
-                    region = None
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                fn = region.fn
-                if fn is None:
-                    fn = self._warm_profiled(region, acc)
-                    if fn is None:
-                        # Still cold: step through it per-instruction.
-                        region = None
-                        t0 = perf()
-                        self.step()
-                        acc.slow_s += perf() - t0
-                        acc.slow_n += 1
-                        if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                            return
-                        continue
-                cell = regions.get(region.entry)
-                if cell is None:
-                    cell = regions[region.entry] = [0, 0.0]
-                before = self.steps
-                t0 = perf()
-                r = fn(self)
-                cell[1] += perf() - t0
-                if not r:
-                    # Guard refusal: replay the guarded instruction exactly.
-                    region.futile += 1
-                    guards += 1
-                    acc.guard_exits += 1
-                    region = None
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                if self.steps - before <= 1:
-                    # Bailed after a single step: an entry that keeps paying
-                    # the exception for one instruction of progress is
-                    # futile too.
-                    region.futile += 1
-                else:
-                    region.futile = 0
-                cell[0] += 1
-                entered += 1
-                if self.status is not ExitStatus.RUNNING:
-                    return
-                region = r if r is not True else None
-        finally:
-            self._sb_entries += entered
-            self._sb_guard_exits += guards
 
     def _flush_obs(self) -> None:
         """Report run totals into the metrics registry.
@@ -1101,10 +927,6 @@ class CPU:
             return
         raise CpuFault(f"unimplemented mnemonic {m}")
 
-    def _mem_address_quiet(self, op: Mem) -> int:
-        """Address computation identical to ``_mem_address`` (uses recorded)."""
-        return self._mem_address(op)
-
     def _lea(self, dst: Operand, mem: Operand) -> None:
         if not isinstance(mem, Mem):
             raise CpuFault("lea needs a memory operand")
@@ -1115,7 +937,7 @@ class CPU:
         if mem.index:
             _, t = self.get_reg(mem.index)
             taints.append(t)
-        self.write_operand(dst, self._mem_address_quiet(mem), union(*taints))
+        self.write_operand(dst, self._mem_address(mem), union(*taints))
 
     def _ret(self, ops: Tuple[Operand, ...]) -> None:
         value, _ = self.pop()
@@ -1222,8 +1044,6 @@ class CPU:
                         # candidate events as the control-flow evidence.
                         flight.remember(("predicate_for", t.event_id), flight_id)
 
-    _CONDITIONS: dict = {}
-
     def _jump(self, m: str, target: Operand) -> None:
         taken = True
         if m != "jmp":
@@ -1255,12 +1075,6 @@ class CPU:
             if self.dispatcher is None:
                 raise CpuFault(f"no API dispatcher for {target}")
             self.dispatcher.invoke(self, target.name, caller_pc=pc, seq=seq)
-            if self._allow_fast:
-                # API calls are the only taint ingress (mint_tag via the
-                # dispatcher); an API can also *consume* the last of it
-                # (e.g. the tainted buffer is overwritten), so recheck both
-                # directions here and nowhere else.
-                self._fast_mode = not self._taint_live()
             return
         value, _ = self.read_operand(target)
         self.push(self.pc)  # return address (already points past the call)

@@ -17,9 +17,10 @@ once, at first execution — to a triple ``(full, fast, text)``:
 * ``fast(cpu)`` — an untainted specialization with pre-resolved operand
   accessors: plain ints end to end, no TagSet plumbing, no def/use lists,
   no flag-taint writes.  ``None`` for steps the fast loop must not swallow
-  (``call @Api`` — taint can be minted there — and operand shapes the slow
-  path would fault on).  Valid **only** while the machine holds no live
-  taint and instruction recording is off; ``CPU`` guards that invariant.
+  (``call @Api``, which traps into the dispatcher, and operand shapes the
+  slow path would fault on).  Valid **only** while the machine holds no
+  live taint and instruction recording is off: a non-recording run mints
+  no taint, and ``CPU.run`` checks for hand-injected taint once.
 * ``text`` — cached ``str(instr)`` for :class:`InstructionRecord`.
 
 Fault behaviour is bit-for-bit compatible: accessors evaluate operands in
@@ -354,7 +355,7 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
     if m == "call":
         if type(ops[0]) is ApiRef:
-            return None  # taint can be minted by the dispatcher
+            return None  # traps into the dispatcher on the slow step
         load = _load(ops[0])
         if load is None:
             return None

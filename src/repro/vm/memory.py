@@ -29,15 +29,6 @@ class MemoryFault(Exception):
         self.addr = addr
 
 
-class TaintBail(Exception):
-    """Raised by :meth:`Memory.read_checked` when a byte carries live taint.
-
-    The superblock tier only executes values it has *proven* untainted; a
-    tainted load aborts the compiled region so the CPU can replay the
-    instruction on the exact slow path (full taint propagation, predicate
-    events).  This is control flow, not an error."""
-
-
 class Memory:
     """Sparse memory: unwritten mapped bytes read as zero, untainted."""
 
@@ -56,19 +47,18 @@ class Memory:
     def restore(
         cls,
         bytes_map: Dict[int, int],
-        taint_map: Dict[int, TagSet],
         regions: Iterable[Tuple[int, int]],
         readonly_ranges: Iterable[Tuple[int, int]],
     ) -> "Memory":
-        """Rebuild a memory image from snapshot state (owned here, so a new
-        ``__init__`` attribute cannot silently be skipped on the resume
-        path: construction goes through ``cls()`` and then overwrites).
+        """Rebuild an untainted memory image from snapshot state (owned
+        here, so a new ``__init__`` attribute cannot silently be skipped on
+        the resume path: construction goes through ``cls()`` and then
+        overwrites).
 
         Inputs are copied — the snapshot stays independent of the instance.
         """
         memory = cls()
         memory._bytes = dict(bytes_map)
-        memory._taint = dict(taint_map)
         memory._regions = list(regions)
         memory.readonly_ranges = list(readonly_ranges)
         return memory
@@ -150,56 +140,6 @@ class Memory:
             a = (addr + i) & 0xFFFFFFFF
             if not self.is_mapped(a):
                 raise MemoryFault(a)
-            value |= data.get(a, 0) << (8 * i)
-        return value
-
-    def read_checked(self, addr: int, size: int) -> int:
-        """``read_plain`` that additionally *proves* the bytes are untainted.
-
-        The superblock tier calls this for every memory load it compiles:
-        a mapped, untainted span reads like ``read_plain``; the first byte
-        carrying taint raises :class:`TaintBail` before any value is
-        consumed, so the caller can replay the instruction on the slow
-        path.  The first unmapped byte still raises :class:`MemoryFault`
-        (same fault order as the byte loop)."""
-        taint = self._taint
-        if not taint:
-            return self.read_plain(addr, size)
-        a0 = addr & 0xFFFFFFFF
-        last = a0 + size - 1
-        if last <= 0xFFFFFFFF:
-            for start, end in self._regions:
-                if start <= a0 and last < end:
-                    data = self._bytes
-                    if size == 4:
-                        if (
-                            a0 in taint
-                            or a0 + 1 in taint
-                            or a0 + 2 in taint
-                            or a0 + 3 in taint
-                        ):
-                            raise TaintBail()
-                        return (
-                            data.get(a0, 0)
-                            | data.get(a0 + 1, 0) << 8
-                            | data.get(a0 + 2, 0) << 16
-                            | data.get(a0 + 3, 0) << 24
-                        )
-                    value = 0
-                    for i in range(size):
-                        a = a0 + i
-                        if a in taint:
-                            raise TaintBail()
-                        value |= data.get(a, 0) << (8 * i)
-                    return value
-        value = 0
-        data = self._bytes
-        for i in range(size):
-            a = (addr + i) & 0xFFFFFFFF
-            if not self.is_mapped(a):
-                raise MemoryFault(a)
-            if a in taint:
-                raise TaintBail()
             value |= data.get(a, 0) << (8 * i)
         return value
 

@@ -68,8 +68,14 @@ class ApiContext:
     # -- taint ----------------------------------------------------------------
 
     def mint_tag(self, klass: Optional[TaintClass] = None) -> TagSet:
+        """This call's taint tag, or ``EMPTY``.
+
+        Only the recording run (``cpu.record_instructions``, Phase I) mints
+        taint: it is the one run that reads tainted predicates and slices
+        def/use chains.  Every other run compares API-call traces, so it
+        stays untainted and on the fast tiers."""
         klass = klass or self.apidef.taint_class
-        if klass is None:
+        if klass is None or not self.cpu.record_instructions:
             return EMPTY
         return frozenset({TaintTag(self.event_id, self.apidef.name, klass)})
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.core.pipeline import AutoVac
-from repro.core.snapshot import pickle_env_overridden
+from repro.core.snapshot import VmSnapshot, pickle_env_overridden
 from repro.tracing import serialize
 
 
@@ -142,3 +142,12 @@ class TestAnalyzeCandidatesDirect:
         program = family_programs["conficker"]
         report, _ = self._candidates(program)
         assert ImpactAnalyzer().analyze_candidates(program, [], report.trace) == []
+
+    def test_capture_refuses_a_recording_run(self, family_programs):
+        """A resume never records or carries taint, so a checkpoint of the
+        recording (Phase-I) run would silently drop both."""
+        report, _ = self._candidates(family_programs["conficker"])
+        cpu = report.run.cpu
+        assert cpu.record_instructions and cpu._taint_live()
+        with pytest.raises(ValueError, match="recording"):
+            VmSnapshot.capture(cpu, report.trace.api_calls[-1])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AutoVac, SystemEnvironment, VaccinePackage, deploy
+from repro import AutoVac, SystemEnvironment, VaccinePackage, deploy, obs
 from repro.core import DeliveryKind, IdentifierKind, Immunization, Mechanism, run_sample
 from repro.corpus import (
     benign_suite,
@@ -145,6 +145,29 @@ class TestPipelineControls:
 
         analysis = AutoVac(aligner=align_linear).analyze(family_programs["zeus"])
         assert analysis.vaccines
+
+    @pytest.mark.parametrize(
+        "family", ["conficker", "ibank", "poisonivy", "qakbot", "sality", "zeus"]
+    )
+    def test_only_phase1_records_tainted_predicates(
+        self, family_programs, benign_programs, family
+    ):
+        """Taint belongs to the recording run alone: every other run of the
+        pipeline (Phase-II capture and resumes, verification, policy
+        validation, clinic) mints no tag, so every tainted predicate the VM
+        saw is one of Phase I's."""
+        obs.reset()
+        try:
+            analysis = AutoVac(
+                clinic_programs=benign_programs, run_clinic=True
+            ).analyze(family_programs[family])
+            assert analysis.clinic is not None
+            assert analysis.phase1.trace.predicates
+            assert obs.metrics.total("vm.tainted_predicates") == len(
+                analysis.phase1.trace.predicates
+            )
+        finally:
+            obs.reset()
 
 
 class TestPopulation:

@@ -176,7 +176,8 @@ class TestVmAttribution:
         "    add ebx, eax\n    dec ecx\n    jnz spin\n"
         "    mov edx, ebx\n    mov esi, 7\n    halt\n"
     )
-    TAINTED = (
+    # An API call, then a loop too short to reach the default threshold.
+    COLD = (
         ".section .data\nbuf: .space 16\n.section .text\n"
         "    push 0\n    push buf\n    call @GetComputerNameA\n"
         "    mov ecx, 40\n    xor ebx, ebx\n"
@@ -198,16 +199,15 @@ class TestVmAttribution:
             cpu.run()
         return obs.prof.snapshot(), obs.metrics.total("vm.superblocks.compiled")
 
-    @pytest.mark.parametrize("src", ["LOOP", "TAINTED"], ids=["fast", "guarded"])
-    def test_eager_compile_node_counts_compiles(self, src):
-        profile, compiled = self._profile(getattr(self, src), superblock_threshold=0)
+    def test_eager_compile_node_counts_compiles(self):
+        profile, compiled = self._profile(self.LOOP, superblock_threshold=0)
         assert compiled >= 2
         count, seconds = profile["vm;superblock;compile"]
         assert count == compiled
         assert seconds > 0.0
 
     def test_cold_run_has_no_compile_node(self):
-        profile, compiled = self._profile(self.TAINTED)
+        profile, compiled = self._profile(self.COLD)
         assert compiled == 0
         assert "vm;superblock;compile" not in profile
 
