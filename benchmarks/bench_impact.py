@@ -158,14 +158,11 @@ def test_snapshot_resume_speedup():
 def test_per_family_snapshot_speedup(family_analyses):
     """Snapshot-resume vs full rerun on the real corpus families.
 
-    Three-way equivalence first — structured restore, the legacy pickle
-    blob (``pickle_env_overridden(True)``), and the full rerun must yield
-    identical outcomes — then the wall-clock claim: the structured-restore
-    path beats full reruns by >=1.3x on at least two families (the crafted
-    sample above pins >=2x; real families carry more API-call payload per
-    step, so the floor is lower)."""
-    from repro.core.snapshot import pickle_env_overridden
-
+    Equivalence first — snapshot-resume and the full rerun must yield
+    identical outcomes — then the wall-clock claim: snapshot-resume beats
+    full reruns by >=1.3x on at least two families (the crafted sample
+    above pins >=2x; real families carry more API-call payload per step,
+    so the floor is lower)."""
     results = {}
     with obs.disabled(), vm_superblock.overridden(False):
         for family, (program, _analysis) in sorted(family_analyses.items()):
@@ -189,12 +186,7 @@ def test_per_family_snapshot_speedup(family_analyses):
                 ),
                 repeats=3,
             )
-            with pickle_env_overridden(True):
-                blob = ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
-                    program, candidates, report.trace
-                )
             assert _outcome_fingerprint(structured) == _outcome_fingerprint(legacy)
-            assert _outcome_fingerprint(blob) == _outcome_fingerprint(legacy)
             results[family] = {
                 "legacy_seconds": legacy_s,
                 "snapshot_seconds": snap_s,
@@ -360,8 +352,6 @@ def test_write_artifacts(family_analyses):
     ENV_PATHS = (
         "snapshot;capture;env_snapshot",
         "snapshot;resume;env_restore",
-        "snapshot;capture;env_pickle",
-        "snapshot;resume;env_unpickle",
     )
     env_self = {path: 0.0 for path in ENV_PATHS}
     grand_self = 0.0

@@ -124,13 +124,13 @@ def test_profiler_off_overhead():
     assert on_overhead <= 0.25
 
 
-def _synthetic_profile(n_handlers: int = 40, n_regions: int = 30) -> dict:
-    """A population-scale-shaped profile: a few VM tier nodes, many API
-    handler nodes with read_args children, region nodes, snapshot nodes."""
+def _synthetic_profile(n_handlers: int = 40) -> dict:
+    """A population-scale-shaped profile: the VM tier nodes, many API
+    handler nodes with read_args children, snapshot nodes."""
     profile = {
         "vm;slow": [500_000, 4.0],
         "vm;fast": [2_000_000, 1.5],
-        "vm;superblock;guard_exit": [900, 0.0],
+        "vm;superblock;compile": [30, 0.02],
         "snapshot;capture": [200, 0.4],
         "snapshot;capture;env_snapshot": [200, 0.3],
         "snapshot;resume": [600, 1.1],
@@ -140,11 +140,6 @@ def _synthetic_profile(n_handlers: int = 40, n_regions: int = 30) -> dict:
     for i in range(n_handlers):
         profile[f"api;Handler{i:03d}"] = [i + 10, 0.002 * (i + 1)]
         profile[f"api;Handler{i:03d};read_args"] = [i + 10, 0.0005 * (i + 1)]
-    for i in range(n_regions):
-        profile[f"vm;superblock;region@0x{0x401000 + 7 * i:08x}"] = [
-            50 + i,
-            0.001 * (i + 1),
-        ]
     return profile
 
 

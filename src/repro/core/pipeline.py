@@ -306,7 +306,8 @@ class AutoVac:
         self.run_clinic = run_clinic
         #: Superblock tier for every CPU this pipeline runs (fresh runs and
         #: snapshot resumes alike — ``analyze`` scopes the override).
-        #: ``None`` inherits the process default (``REPRO_SUPERBLOCKS``).
+        #: ``None`` inherits the ambient default (on, unless an enclosing
+        #: ``vm.superblock.overridden`` scope says otherwise).
         self.superblock_vm = (
             vm_superblock.default_enabled() if superblock_vm is None else superblock_vm
         )

@@ -7,20 +7,18 @@ without ad-hoc cProfile runs:
 
 * **VM execution by tier** — ``vm;slow`` (the Phase-I recording run, the
   API-call steps of every run, and runs given taint by hand), ``vm;fast``
-  (predecoded loop of non-recording runs), ``vm;superblock;region@0x…``
-  (one node per compiled hot region, entered from the fast loop),
+  (the non-recording tiers: predecoded loop and compiled superblocks) and
   ``vm;superblock;compile`` (one count per region compiled; its time is
-  taken out of the tier that triggered it) and
-  ``vm;superblock;guard_exit`` (count-only: dispatches refused because
-  fewer steps were left than the region's length; their time stays on the
-  region node);
+  taken out of ``vm;fast``).  ``CPU.run()`` times each fast segment with one
+  timer pair and bills the rest of the run to ``vm;slow``; counts are the
+  steps behind ``vm.instructions``/``vm.fast_steps``, flushed at the same
+  place as those metrics;
 * **API dispatch per handler** — ``api;<Name>`` total with
   ``api;<Name>;read_args`` (the ``read_stack_args`` pre-read) split out,
   so body time is the handler node's *self* time;
 * **snapshot capture/resume** — ``snapshot;capture`` /
   ``snapshot;resume`` with the structured environment walk as
-  ``env_snapshot`` / ``env_restore`` child nodes (``env_pickle`` /
-  ``env_unpickle`` on the legacy blob fallback);
+  ``env_snapshot`` / ``env_restore`` child nodes;
 * **rule matching** — ``rules;daemon`` / ``rules;clinic`` /
   ``rules;campaign``, one node per :class:`~repro.delivery.engine.RuleEngine`
   consumer.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .. import obs
 from ..taint.labels import EMPTY, TagSet, union
@@ -45,10 +45,7 @@ class _VmFlushCache:
     Keyed on the obs registry generation the same way as
     ``Dispatcher._FlushCache``: ``obs.reset()`` bumps ``metrics.generation``
     and discards the counter families these handles point into, so a
-    generation mismatch drops every handle.  (The previous scheme stored the
-    generation as just another entry of the same dict that held the
-    per-status ``vm.runs`` handles — correctness hinged on no exit status
-    ever being named ``"generation"``/``"instructions"``/… .)
+    generation mismatch drops every handle.
     """
 
     __slots__ = (
@@ -89,49 +86,6 @@ class _VmFlushCache:
 
 
 _VM_FLUSH_CACHE = _VmFlushCache()
-
-
-class _ProfAcc:
-    """Per-run tier-time accumulator for the profiled execution loop.
-
-    Plain attributes only — the profiled loops accumulate locally and flush
-    once into ``obs.prof`` when the run ends (same once-per-run discipline
-    as ``_flush_obs``), so even profiling-on overhead stays at segment
-    granularity, not per instruction.
-    """
-
-    __slots__ = (
-        "slow_s", "slow_n", "fast_s", "fast_n", "compile_s", "compile_n",
-        "regions", "guard_exits",
-    )
-
-    def __init__(self) -> None:
-        self.slow_s = 0.0
-        self.slow_n = 0
-        self.fast_s = 0.0
-        self.fast_n = 0
-        #: Region compiles inside ``Region.warm()``: billed to their own
-        #: node, not to the tier segment that happened to trigger them.
-        self.compile_s = 0.0
-        self.compile_n = 0
-        #: region entry idx -> [entries, seconds] (one profile node each).
-        self.regions: Dict[int, list] = {}
-        self.guard_exits = 0
-
-    def flush(self, prof) -> None:
-        if self.slow_n:
-            prof.add("vm;slow", self.slow_s, self.slow_n)
-        if self.fast_n:
-            prof.add("vm;fast", self.fast_s, self.fast_n)
-        if self.compile_n:
-            prof.add("vm;superblock;compile", self.compile_s, self.compile_n)
-        for idx in sorted(self.regions):
-            entries, seconds = self.regions[idx]
-            prof.add(f"vm;superblock;region@0x{TEXT_BASE + idx:08x}", seconds, entries)
-        if self.guard_exits:
-            # Count-only: the refused dispatch's time is already attributed
-            # to its region node.
-            prof.add("vm;superblock;guard_exit", 0.0, self.guard_exits)
 
 
 class CPU:
@@ -247,9 +201,9 @@ class CPU:
         # Plain-int run accumulators, flushed once by ``_flush_obs``.
         self._sb_entries = 0
         self._sb_guard_exits = 0
-        self._sb_compiled_base = (
-            self._superblocks.compiled if self._superblocks is not None else 0
-        )
+        sb = self._superblocks
+        self._sb_compiled_base = sb.compiled if sb is not None else 0
+        self._sb_compile_s_base = sb.compile_s if sb is not None else 0.0
         self._slow_steps = 0
 
     @classmethod
@@ -526,30 +480,39 @@ class CPU:
 
         The tier is chosen once, here: nothing can bring taint into a
         non-recording run once it has started.
+
+        With ``obs.prof`` on, each ``_run_fast()`` segment is timed by one
+        ``perf_counter`` pair and the rest of the run is billed to the slow
+        tier — segment granularity, never per instruction or per region.
         """
         # Callers may have injected taint by hand before run().
-        self._fast_mode = self._allow_fast and not self._taint_live()
-        prof = obs.prof
-        if prof.enabled:
-            # Profiling is opt-in: the normal loop below stays untouched
-            # (zero added branches) and the profiled twin pays for its
-            # tier-segment timers only when somebody asked for attribution.
-            self._run_loop_profiled(prof)
-        else:
-            fast = self._fast_mode
+        fast = self._fast_mode = self._allow_fast and not self._taint_live()
+        prof = obs.prof if obs.prof.enabled else None
+        perf = time.perf_counter
+        t_run = perf() if prof is not None else 0.0
+        fast_s = 0.0
+        try:
             while self.status is ExitStatus.RUNNING:
                 if fast:
-                    self._run_fast()
+                    if prof is None:
+                        self._run_fast()
+                    else:
+                        t0 = perf()
+                        self._run_fast()
+                        fast_s += perf() - t0
                     if self.status is not ExitStatus.RUNNING:
                         break
                 # The instruction the fast loop stopped at (an API call,
                 # typically) needs one full slow step.
                 self.step()
+        finally:
+            # Also reached when an interceptor aborts the run by raising:
+            # metrics and profile then still count the same steps.
+            self._flush_obs(prof, t_run, fast_s)
         self.trace.exit_status = self.status.value
         self.trace.steps = self.steps
         if self.process is not None and self.process.exit_code is not None:
             self.trace.exit_code = self.process.exit_code
-        self._flush_obs()
         return self.trace
 
     def _run_fast(self) -> None:
@@ -633,165 +596,33 @@ class CPU:
                 self._sb_entries += entered
                 self._sb_guard_exits += guards
 
-    # ------------------------------------------------------------------
-    # profiled execution loop (obs.prof enabled)
-    # ------------------------------------------------------------------
-
-    def _run_loop_profiled(self, prof) -> None:
-        """Profiled twin of the ``run()`` loop: identical control flow and
-        machine semantics, plus per-tier wall-time attribution.
-
-        Timers wrap tier *segments*, never single instructions: contiguous
-        slow steps batch behind one ``perf_counter`` pair, the fast loop is
-        timed per invocation, and compiled regions per dispatch — so the
-        profiled trees stay deterministic in structure/counts while the
-        timing overhead stays a few percent even with profiling on.
-        """
-        perf = time.perf_counter
-        acc = _ProfAcc()
-        try:
-            if self._fast_mode:
-                while self.status is ExitStatus.RUNNING:
-                    self._run_fast_profiled(acc)
-                    if self.status is not ExitStatus.RUNNING:
-                        break
-                    # The instruction the fast loop stopped at (an API call,
-                    # typically) needs one full slow step.
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-            else:
-                # Pure slow tier: the whole run behind one timer pair.
-                t0 = perf()
-                steps0 = self.steps
-                while self.status is ExitStatus.RUNNING:
-                    self.step()
-                acc.slow_s += perf() - t0
-                acc.slow_n += self.steps - steps0
-        finally:
-            acc.flush(prof)
-
-    def _run_fast_profiled(self, acc: "_ProfAcc") -> None:
-        """Profiled twin of ``_run_fast``: one timer pair around the whole
-        segment, one per compiled-region dispatch; the difference is
-        attributed to the predecoded fast loop (``vm;fast``)."""
-        perf = time.perf_counter
-        decoded = self._decoded
-        n = len(decoded)
-        base = TEXT_BASE
-        max_steps = self.max_steps
-        sb = self._superblocks
-        entries = sb.entries if sb is not None else None
-        entered = guards = 0
-        regions = acc.regions
-        steps0 = self.steps
-        sb_steps = 0
-        sb_s = 0.0
-        compile0 = acc.compile_s
-        t_start = perf()
-        try:
-            while True:
-                if self.steps >= max_steps:
-                    self.status = ExitStatus.BUDGET
-                    return
-                idx = self.pc - base
-                if not 0 <= idx < n:
-                    self.status = ExitStatus.FAULT
-                    self.fault_reason = f"pc 0x{self.pc:08x} outside .text"
-                    return
-                if entries is not None:
-                    region = entries[idx]
-                    if region is not None:
-                        fn = region.fn
-                        if fn is None:
-                            fn = self._warm_profiled(region, acc)
-                        if fn is not None:
-                            cell = regions.get(idx)
-                            if cell is None:
-                                cell = regions[idx] = [0, 0.0]
-                            before = self.steps
-                            t0 = perf()
-                            r = fn(self)
-                            dt = perf() - t0
-                            sb_s += dt
-                            cell[1] += dt
-                            sb_steps += self.steps - before
-                            if r:
-                                cell[0] += 1
-                                entered += 1
-                                if self.status is not ExitStatus.RUNNING:
-                                    return
-                                # Region chaining (mirrors _run_fast): a
-                                # returned Region dispatches directly, timed
-                                # into its own node; a refusal or a cold
-                                # successor falls back to the probe.
-                                while r is not True:
-                                    nfn = r.fn
-                                    if nfn is None:
-                                        break  # cold successor: probe warms it
-                                    cell = regions.get(r.entry)
-                                    if cell is None:
-                                        cell = regions[r.entry] = [0, 0.0]
-                                    before = self.steps
-                                    t0 = perf()
-                                    r2 = nfn(self)
-                                    dt = perf() - t0
-                                    sb_s += dt
-                                    cell[1] += dt
-                                    sb_steps += self.steps - before
-                                    if not r2:
-                                        break  # refusal: probe re-counts it
-                                    cell[0] += 1
-                                    entered += 1
-                                    if self.status is not ExitStatus.RUNNING:
-                                        return
-                                    r = r2
-                                continue
-                            # Chunked budget refused: execute the region
-                            # per-instruction instead.
-                            guards += 1
-                            acc.guard_exits += 1
-                fast = decoded[idx][1]
-                if fast is None:
-                    return
-                pc = self.pc
-                self.steps += 1
-                self.pc = pc + 1  # default fallthrough; jumps overwrite
-                try:
-                    fast(self)
-                except (MemoryFault, CpuFault) as exc:
-                    self.status = ExitStatus.FAULT
-                    # pc has already advanced; name the faulting instruction.
-                    self.fault_reason = f"{exc} (pc 0x{pc:08x})"
-                    return
-                if self.status is not ExitStatus.RUNNING:
-                    return
-        finally:
-            if sb is not None:
-                self._sb_entries += entered
-                self._sb_guard_exits += guards
-            acc.fast_s += (perf() - t_start) - sb_s - (acc.compile_s - compile0)
-            acc.fast_n += (self.steps - steps0) - sb_steps
-
-    def _warm_profiled(self, region, acc: "_ProfAcc"):
-        """``region.warm()`` with a compile it triggers billed to
-        ``vm;superblock;compile``; cold entries add no timer."""
-        sb = self._superblocks
-        before = sb.compile_s
-        fn = region.warm()
-        if fn is not None:
-            acc.compile_s += sb.compile_s - before
-            acc.compile_n += 1
-        return fn
-
-    def _flush_obs(self) -> None:
-        """Report run totals into the metrics registry.
+    def _flush_obs(self, prof, t_run: float, fast_s: float) -> None:
+        """Report run totals into the metrics registry and, when ``prof`` is
+        set, the tier profile.
 
         The per-instruction loop stays uninstrumented (every added branch
         there is ~1% interpreter overhead); counts the interpreter already
         keeps are flushed once per run instead — the cheap-hook contract.
+        ``t_run`` is the run's ``perf_counter`` start, ``fast_s`` the time
+        spent in ``_run_fast()`` segments (compiled regions and compiles
+        included); the rest of the run is the slow tier's.
         """
+        executed = self.steps - self._steps_at_start
+        # Steps that avoided the slow path (fast loop + superblocks).
+        fast_steps = executed - self._slow_steps
+        sb = self._superblocks
+        if prof is not None:
+            compiles = sb.compiled - self._sb_compiled_base if sb is not None else 0
+            compile_s = sb.compile_s - self._sb_compile_s_base if compiles else 0.0
+            if self._slow_steps:
+                prof.add(
+                    "vm;slow", time.perf_counter() - t_run - fast_s, self._slow_steps
+                )
+            if fast_steps:
+                # Compiles run inside fast segments; bill them separately.
+                prof.add("vm;fast", fast_s - compile_s, fast_steps)
+            if compiles:
+                prof.add("vm;superblock;compile", compile_s, compiles)
         metrics = obs.metrics
         if not metrics.enabled:
             return
@@ -803,14 +634,11 @@ class CPU:
         runs = cache.runs.get(status)
         if runs is None:
             runs = cache.runs[status] = metrics.counter("vm.runs", status=status)
-        executed = self.steps - self._steps_at_start
         cache.instructions.inc(executed)
         runs.inc()
         cache.api_calls.inc(len(self.trace.api_calls) - self._events_at_start)
         cache.tainted_predicates.inc(len(self.trace.predicates) - self._predicates_at_start)
-        # Steps that avoided the slow path (fast loop + superblocks).
-        cache.fast_steps.inc(executed - self._slow_steps)
-        sb = self._superblocks
+        cache.fast_steps.inc(fast_steps)
         if sb is not None:
             cache.sb_compiled.inc(sb.compiled - self._sb_compiled_base)
             cache.sb_entries.inc(self._sb_entries)

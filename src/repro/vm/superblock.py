@@ -53,7 +53,6 @@ Compiled code is never shared between ``Program`` objects.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Set
@@ -88,18 +87,13 @@ _UNOP_MNEMONICS = frozenset(("inc", "dec", "not", "neg"))
 # enable/disable plumbing (mirrors PipelineConfig.superblock_vm)
 # ---------------------------------------------------------------------------
 
-_ENV_DEFAULT = os.environ.get("REPRO_SUPERBLOCKS", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
 _override: Optional[bool] = None
 
 
 def default_enabled() -> bool:
-    """Effective default for CPUs built without an explicit choice."""
-    return _ENV_DEFAULT if _override is None else _override
+    """Effective default for CPUs built without an explicit choice: on,
+    unless an :func:`overridden` scope says otherwise."""
+    return True if _override is None else _override
 
 
 @contextmanager

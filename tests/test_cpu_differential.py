@@ -8,8 +8,11 @@ slicing layers all sit on top of them).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.vm import CPU, assemble
 from repro.vm.superblock import DEFAULT_THRESHOLD
 
@@ -126,7 +129,9 @@ def _run_all_tiers(src: str, max_steps: int = 20_000):
     * fast — predecoded per-instruction loop, superblocks off (tier 2);
     * sb-eager — superblocks on with threshold 0 (every region compiles on
       first entry, the harshest tier-3 coverage);
-    * sb-default — superblocks at the default hotness threshold.
+    * sb-default — superblocks at the default hotness threshold;
+    * sb-eager-profiled — sb-eager under ``obs.profiled()``: the profiler's
+      segment timers must not change what the machine computes.
 
     Each configuration assembles its own Program: the superblock cache
     lives on the Program, and sb-default must not inherit sb-eager's
@@ -140,9 +145,12 @@ def _run_all_tiers(src: str, max_steps: int = 20_000):
         ("sb-eager", dict(record_instructions=False, superblocks=True,
                           superblock_threshold=0)),
         ("sb-default", dict(record_instructions=False, superblocks=True)),
+        ("sb-eager-profiled", dict(record_instructions=False, superblocks=True,
+                                   superblock_threshold=0)),
     ):
         cpu = CPU(assemble(src), max_steps=max_steps, **kwargs)
-        cpu.run()
+        with obs.profiled() if label.endswith("-profiled") else nullcontext():
+            cpu.run()
         states[label] = _final_state(cpu)
         if label == "sb-default":
             compiled = cpu._superblocks.compiled

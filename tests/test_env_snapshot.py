@@ -2,9 +2,8 @@
 
 Covers the restore semantics the pickle blob used to get for free — handle
 identity, deleted-but-open orphans, phantom handles, the RNG mid-sequence —
-plus the legacy-blob equivalence oracle, ``Memory.restore`` completeness,
-and chaos degradation (an injected restore fault must cost a full rerun for
-that candidate, never the survey).
+plus ``Memory.restore`` completeness and chaos degradation (an injected
+restore fault must cost a full rerun for that candidate, never the survey).
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import pytest
 
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
-from repro.core.pipeline import AutoVac
-from repro.core.snapshot import pickle_env_default, pickle_env_overridden
-from repro.tracing import serialize
 from repro.vm.memory import Memory
 from repro.winenv import IntegrityLevel, ResourceType, SystemEnvironment
 from repro.winenv.objects import HandleKind, Resource
@@ -233,33 +229,6 @@ class TestLazyNamespaces:
         env3, _ = roundtrip(env2, proc2)
         assert env3.filesystem.read("C:\\x.bin", SYS) == b"d"
         assert env3.services.lookup("svc").name == "svc"
-
-
-class TestPickleFallbackOracle:
-    """The legacy blob is kept as an equivalence oracle behind a flag."""
-
-    def test_default_is_structured(self):
-        assert pickle_env_default() is False
-
-    def test_override_scopes_and_restores(self):
-        with pickle_env_overridden(True):
-            assert pickle_env_default() is True
-            with pickle_env_overridden(None):  # None leaves ambient alone
-                assert pickle_env_default() is True
-        assert pickle_env_default() is False
-
-    @pytest.mark.parametrize("family", ["conficker", "zeus"])
-    def test_blob_and_structured_analyses_identical(self, family, family_programs):
-        program = family_programs[family]
-        structured = AutoVac(snapshot_impact=True).analyze(program)
-        with pickle_env_overridden(True):
-            blob = AutoVac(snapshot_impact=True).analyze(program)
-        enc_s = serialize.analysis_to_dict(structured)
-        enc_b = serialize.analysis_to_dict(blob)
-        for enc in (enc_s, enc_b):
-            enc.pop("span", None)
-            enc.pop("journal", None)
-        assert enc_s == enc_b
 
 
 class TestMemoryRestore:

@@ -1,10 +1,11 @@
 """Snapshot-resume equivalence: resumed mutated runs must be
 indistinguishable from full reruns.
 
-The snapshot path is a pure optimization — every corpus family must
+The snapshot path is a pure optimization — every corpus family, every
+sample of a seeded generated population and both evasive programs must
 produce a byte-identical encoded ``SampleAnalysis`` (modulo wall-clock
-spans) whether Phase-II impact analysis resumes from checkpoints or
-re-executes each mutated run from scratch.
+spans) under the default configuration and under the reference one: full
+rerun of each mutated run, no superblocks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import pytest
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.core.pipeline import AutoVac
-from repro.core.snapshot import VmSnapshot, pickle_env_overridden
+from repro.core.snapshot import VmSnapshot
+from repro.corpus import GeneratorConfig, generate_population
+from repro.corpus.evasive import (
+    build_control_dependence_evader,
+    build_index_launder_evader,
+)
 from repro.tracing import serialize
 
 
@@ -31,45 +37,43 @@ def _encoded(analysis) -> dict:
 
 FAMILY_NAMES = ["conficker", "zeus", "sality", "qakbot", "ibank", "poisonivy"]
 
-
-@pytest.fixture(scope="module")
-def snapshot_analyses(family_programs):
-    av = AutoVac(snapshot_impact=True)
-    return {name: av.analyze(p) for name, p in family_programs.items()}
-
-
-@pytest.fixture(scope="module")
-def rerun_analyses(family_programs):
-    av = AutoVac(snapshot_impact=False)
-    return {name: av.analyze(p) for name, p in family_programs.items()}
+POPULATION_SEED = 23
+POPULATION = [
+    s.program
+    for s in generate_population(GeneratorConfig(size=12, seed=POPULATION_SEED))
+]
+EVASIVE = [build_control_dependence_evader(), build_index_launder_evader()]
+#: Families by family name, generated and evasive programs by program name.
+SAMPLE_NAMES = FAMILY_NAMES + [p.name for p in POPULATION + EVASIVE]
 
 
 @pytest.fixture(scope="module")
-def pickle_blob_analyses(family_programs):
-    """Snapshot-resume again, but with the legacy pickle-blob environment
-    capture forced — the third leg of the equivalence triangle."""
-    av = AutoVac(snapshot_impact=True)
-    with pickle_env_overridden(True):
-        return {name: av.analyze(p) for name, p in family_programs.items()}
+def samples(family_programs):
+    programs = dict(family_programs)
+    programs.update((p.name, p) for p in POPULATION + EVASIVE)
+    return programs
 
 
-@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.fixture(scope="module")
+def snapshot_analyses(samples):
+    """The default configuration: snapshot-resume, superblocks on."""
+    av = AutoVac()
+    return {name: av.analyze(p) for name, p in samples.items()}
+
+
+@pytest.fixture(scope="module")
+def rerun_analyses(samples):
+    """The reference configuration: full rerun, no superblocks."""
+    av = AutoVac(snapshot_impact=False, superblock_vm=False)
+    return {name: av.analyze(p) for name, p in samples.items()}
+
+
+@pytest.mark.parametrize("family", SAMPLE_NAMES)
 def test_families_identical_under_snapshot_resume(
-    family, family_programs, snapshot_analyses, rerun_analyses
+    family, samples, snapshot_analyses, rerun_analyses
 ):
-    assert family in family_programs
+    assert family in samples
     assert _encoded(snapshot_analyses[family]) == _encoded(rerun_analyses[family])
-
-
-@pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_families_identical_under_pickle_blob_capture(
-    family, snapshot_analyses, pickle_blob_analyses
-):
-    # Structured restore vs the legacy blob: with the rerun equivalence
-    # above, this closes the three-way triangle per family.
-    assert _encoded(pickle_blob_analyses[family]) == _encoded(
-        snapshot_analyses[family]
-    )
 
 
 def test_families_produce_vaccines(snapshot_analyses):
@@ -79,6 +83,7 @@ def test_families_produce_vaccines(snapshot_analyses):
     assert any(
         o.mutation_hits > 0 for a in snapshot_analyses.values() for o in a.impacts
     )
+    assert any(snapshot_analyses[p.name].vaccines for p in POPULATION)
 
 
 class TestAnalyzeCandidatesDirect:

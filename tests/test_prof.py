@@ -212,6 +212,47 @@ class TestVmAttribution:
         assert "vm;superblock;compile" not in profile
 
 
+FAMILY_NAMES = ["conficker", "zeus", "sality", "qakbot", "ibank", "poisonivy"]
+
+
+def _encoded_results(analysis) -> dict:
+    """The analysis minus how it was observed: wall-clock spans, the flight
+    journal and the profile itself."""
+    payload = serialize.analysis_to_dict(analysis)
+    for key in ("span", "journal", "profile"):
+        payload.pop(key, None)
+    return payload
+
+
+class TestProfileAgreesWithMetrics:
+    """Profile tier counts and VM metrics come from the same step counters,
+    flushed at the same place — including runs an interceptor aborts by
+    raising (forced re-execution stops at the captured identifier)."""
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_tier_counts_match_vm_metrics(self, family):
+        obs.reset()
+        with obs.profiled():
+            AutoVac().analyze(build_family(family))
+        profile = obs.prof.snapshot()
+        slow = profile.get("vm;slow", [0])[0]
+        fast = profile.get("vm;fast", [0])[0]
+        assert slow + fast == obs.metrics.total("vm.instructions")
+        assert fast == obs.metrics.total("vm.fast_steps")
+
+
+class TestProfiledParity:
+    """Profiling observes; it never changes a result."""
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_profiled_analysis_equals_unprofiled(self, family):
+        plain = AutoVac().analyze(build_family(family))
+        with obs.profiled():
+            profiled = AutoVac().analyze(build_family(family))
+        assert profiled.profile and plain.profile is None
+        assert _encoded_results(profiled) == _encoded_results(plain)
+
+
 class TestDeterminismAcrossJobs:
     SIZE = 4
     SEED = 11
