@@ -546,6 +546,44 @@ def analyze_population(
             )
         return result
 
+    def attempt_failed(
+        index: int, attempt: int, kind: str, error_type: str, message: str, tb: str
+    ) -> bool:
+        """Account for one failed attempt; True when the sample should run
+        again (after the backoff slept here), False once it is quarantined."""
+        name = programs[index].name
+        if kind == "timeout":
+            stream.emit("sample.timeout", sample=name, index=index, attempt=attempt)
+        if attempt > retries:
+            quarantine(
+                index,
+                SampleFailure(
+                    sample=name,
+                    index=index,
+                    kind=kind,
+                    error_type=error_type,
+                    message=message,
+                    traceback=tb,
+                    attempts=attempt,
+                ),
+            )
+            return False
+        obs.metrics.counter("pipeline.sample_retries").inc()
+        stream.emit(
+            "sample.retry",
+            sample=name,
+            index=index,
+            attempt=attempt,
+            failure_kind=kind,
+            error=error_type,
+        )
+        _log.warning(
+            "sample retry", sample=name, attempt=attempt, kind=kind, error=error_type
+        )
+        if backoff:
+            time.sleep(backoff * (2 ** (attempt - 1)))
+        return True
+
     pending: List[int] = []
     for i, program in enumerate(programs):
         entry = store.load_entry(store.key(program, config)) if store is not None else None
@@ -585,39 +623,12 @@ def analyze_population(
                     analysis = local.analyze(program)
                 except Exception as exc:
                     kind = "timeout" if isinstance(exc, InjectedHang) else "crash"
-                    if kind == "timeout":
-                        stream.emit(
-                            "sample.timeout",
-                            sample=program.name,
-                            index=i,
-                            attempt=attempt,
-                        )
-                    if attempt > retries:
-                        quarantine(
-                            i,
-                            SampleFailure(
-                                sample=program.name,
-                                index=i,
-                                kind=kind,
-                                error_type=type(exc).__name__,
-                                message=str(exc),
-                                traceback=_tb_summary(exc),
-                                attempts=attempt,
-                            ),
-                        )
-                        break
-                    obs.metrics.counter("pipeline.sample_retries").inc()
-                    stream.emit(
-                        "sample.retry",
-                        sample=program.name,
-                        index=i,
-                        attempt=attempt,
-                        failure_kind=kind,
-                        error=type(exc).__name__,
-                    )
-                    if backoff:
-                        time.sleep(backoff * (2 ** (attempt - 1)))
-                    attempt += 1
+                    if attempt_failed(
+                        i, attempt, kind, type(exc).__name__, str(exc), _tb_summary(exc)
+                    ):
+                        attempt += 1
+                        continue
+                    break
                 else:
                     if store is not None:
                         store.store(store.key(program, config), analysis)
@@ -674,46 +685,8 @@ def analyze_population(
         task: _Task, kind: str, error_type: str, message: str, tb: str
     ) -> None:
         suspects.discard(task.index)
-        if kind == "timeout":
-            stream.emit(
-                "sample.timeout",
-                sample=programs[task.index].name,
-                index=task.index,
-                attempt=task.attempt,
-            )
-        if task.attempt > retries:
-            quarantine(
-                task.index,
-                SampleFailure(
-                    sample=programs[task.index].name,
-                    index=task.index,
-                    kind=kind,
-                    error_type=error_type,
-                    message=message,
-                    traceback=tb,
-                    attempts=task.attempt,
-                ),
-            )
-            return
-        obs.metrics.counter("pipeline.sample_retries").inc()
-        stream.emit(
-            "sample.retry",
-            sample=programs[task.index].name,
-            index=task.index,
-            attempt=task.attempt,
-            failure_kind=kind,
-            error=error_type,
-        )
-        _log.warning(
-            "sample retry",
-            sample=programs[task.index].name,
-            attempt=task.attempt,
-            kind=kind,
-            error=error_type,
-        )
-        if backoff:
-            time.sleep(backoff * (2 ** (task.attempt - 1)))
-        queue.append((task.index, task.attempt + 1))
+        if attempt_failed(task.index, task.attempt, kind, error_type, message, tb):
+            queue.append((task.index, task.attempt + 1))
 
     try:
         while in_flight or queue:

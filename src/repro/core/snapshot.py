@@ -26,10 +26,10 @@ State is split two ways:
   recording CPU.
 * **Guest environment state** (filesystem, registry, mutexes, the process
   and its handle table, the RNG mid-sequence) is captured as a structured
-  :class:`~repro.winenv.snapshot.EnvSnapshot`: plain-data rows walked once
-  at capture, rebuilt per resume via real constructors, with
-  handle→resource identity preserved through an explicit id-map — no
-  pickle round-trip on either side.  ``SystemEnvironment.clone()`` cannot
+  :class:`~repro.winenv.snapshot.EnvSnapshot`: frozen resource images
+  walked once at capture, rebuilt per resume as ``__new__`` plus a copy of
+  each image, with handle→resource identity preserved through an explicit
+  id-map — no pickle round-trip on either side.  ``SystemEnvironment.clone()`` cannot
   be used here: it reseeds the RNG and drops handle tables, both of which
   only reset correctly at process spawn, not mid-run.
 

@@ -23,6 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from ..tracing.events import ApiCallEvent
 from ..vm.assembler import assemble
 from ..vm.cpu import CPU, ExitStatus
+from ..vm.decode import decoded_program
+from ..vm.memory import TEXT_BASE
 from ..vm.program import Program
 from ..winenv.acl import IntegrityLevel
 from ..winenv.environment import SystemEnvironment
@@ -83,6 +85,7 @@ def _replay_instances(
     budget = max_steps if max_steps is not None else max(10_000, 4 * len(slice_.steps))
     if len(slice_.steps) > budget:
         raise SliceReplayError("replay budget exhausted")
+    decoded = decoded_program(program)
     for i, step in enumerate(slice_.steps):
         cpu.regs["esp"] = step.esp
         cpu.regs["ebp"] = step.ebp
@@ -91,11 +94,11 @@ def _replay_instances(
         if step.api is not None:
             dispatcher.invoke(cpu, step.api, caller_pc=step.pc, seq=i)
             continue
-        instr = program.instruction_at(step.pc)
-        if instr is None:
+        idx = step.pc - TEXT_BASE
+        if not 0 <= idx < len(decoded):
             raise SliceReplayError(f"no instruction at pc 0x{step.pc:08x}")
         try:
-            cpu._execute(instr, step.pc, i)
+            decoded[idx][0](cpu, step.pc, i)
         except Exception as exc:  # MemoryFault / CpuFault
             raise SliceReplayError(f"replay fault at 0x{step.pc:08x}: {exc}") from exc
 

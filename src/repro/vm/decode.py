@@ -1,19 +1,16 @@
-"""Predecoded instruction handlers — the interpreter's fast path.
-
-``CPU._execute`` dispatches on mnemonic strings and threads a
-``(value, TagSet)`` pair through every operand access.  That is the right
-shape for exactness (def/use records, taint propagation), but it is pure
-overhead on the overwhelmingly common step: an untainted ALU/branch
-instruction in a profiling run that records no instructions.
+"""Predecoded instruction handlers — the interpreter's only dispatch.
 
 This module binds each :class:`~repro.vm.isa.Instruction` of a program —
 once, at first execution — to a triple ``(full, fast, text)``:
 
-* ``full(cpu, pc, seq)`` — the exact legacy semantics (taint, def/use,
-  tainted-predicate events), minus the per-step mnemonic string chain and
-  the per-step ``str(instr)``/operand re-normalization.  It delegates to the
-  CPU's existing helpers so the single source of semantic truth stays in
-  ``cpu.py``.
+* ``full(cpu, pc, seq)`` — the exact semantics (taint, def/use,
+  tainted-predicate events), threading a ``(value, TagSet)`` pair through
+  every operand access.  The mnemonic is resolved here, once, instead of
+  per step, and ``movb`` destinations are narrowed at decode time.  It
+  delegates to the CPU's helpers (``_binary``, ``_compare``, ``_call`` …)
+  so the single source of semantic truth stays in ``cpu.py``.
+  ``CPU.step`` and slice replay (:mod:`repro.taint.replay`) both dispatch
+  through it.
 * ``fast(cpu)`` — an untainted specialization with pre-resolved operand
   accessors: plain ints end to end, no TagSet plumbing, no def/use lists,
   no flag-taint writes.  ``None`` for steps the fast loop must not swallow
@@ -99,8 +96,8 @@ def _store(op) -> Optional[Callable[[object, int], None]]:
 
 
 def _movb_dst(op):
-    """The slow path rebuilds byte-sized Mem destinations each step; the
-    decoder normalizes once."""
+    """``movb`` stores one byte: its Mem destination is narrowed to size 1
+    once, here, for both handlers."""
     if type(op) is Mem and op.size != 1:
         return Mem(op.base, op.index, op.scale, op.disp, 1, op.symbol)
     return op
@@ -404,7 +401,7 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
 
 # ---------------------------------------------------------------------------
-# full handlers (legacy semantics, pre-dispatched)
+# full handlers (exact semantics, pre-dispatched)
 # ---------------------------------------------------------------------------
 
 

@@ -24,6 +24,19 @@ from .services import ServiceManager
 from .windows_gui import WindowManager
 
 
+#: The environment's named-resource namespaces, as ``(attribute, class)``.
+#: Clone, snapshot capture and restore all copy them through the shared
+#: :class:`~repro.winenv.objects.ResourceTable` image copy.
+RESOURCE_TABLES = (
+    ("filesystem", FileSystem),
+    ("registry", Registry),
+    ("mutexes", MutexNamespace),
+    ("services", ServiceManager),
+    ("windows", WindowManager),
+    ("libraries", LibraryManager),
+)
+
+
 @dataclass(frozen=True)
 class MachineIdentity:
     """Stable per-machine inputs for algorithm-deterministic identifiers."""
@@ -128,23 +141,22 @@ class SystemEnvironment:
         return EnvSnapshot.capture(self, process)
 
     def clone(self) -> "SystemEnvironment":
-        """Deep-copy the machine state so repeated runs start identically.
+        """Copy the machine so repeated runs start identically.
 
-        The clone restarts the RNG from the original seed: re-running the same
-        program in a cloned environment reproduces the same trace, which trace
-        alignment (and impact analysis) depends on.
+        Each resource namespace is an image copy of every resource
+        (:meth:`ResourceTable.clone`); the process table keeps its processes
+        but no handle tables, and the network keeps no connections.  The
+        clone restarts the RNG from the original seed: re-running the same
+        program in a cloned environment reproduces the same trace, which
+        trace alignment (and impact analysis) depends on.
         """
         other = SystemEnvironment.__new__(SystemEnvironment)
         other.identity = self.identity
         other.rng_seed = self.rng_seed
         other.rng = random.Random(self.rng_seed)
-        other.filesystem = self.filesystem.clone()
-        other.registry = self.registry.clone()
-        other.mutexes = self.mutexes.clone()
+        for name, _cls in RESOURCE_TABLES:
+            setattr(other, name, getattr(self, name).clone())
         other.processes = self.processes.clone()
-        other.services = self.services.clone()
-        other.windows = self.windows.clone()
-        other.libraries = self.libraries.clone()
         other.network = self.network.clone()
         other.global_interceptors = list(self.global_interceptors)
         other._tick = 0x0001_0000 + (self.rng_seed & 0xFFFF)

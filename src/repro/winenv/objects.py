@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, Optional, Tuple, Type
 
 from .acl import Acl, open_acl
 
@@ -52,6 +52,12 @@ class Resource:
     rtype: ResourceType
     acl: Acl = field(default_factory=open_acl)
     created_by: Optional[int] = None   # pid of the creating process, if any
+
+    #: Attributes whose live value is mutable, as ``(name, freeze, thaw)``.
+    #: A resource *image* is its ``__dict__`` with each of these frozen to
+    #: an immutable form; every copy (clone, restore, orphan) thaws a fresh
+    #: mutable value from either the live or the frozen form.
+    _mutable_fields: ClassVar[Tuple] = ()
 
     @property
     def identifier(self) -> str:
@@ -161,6 +167,118 @@ class HandleTable:
             h.__dict__ = d
             entries[attrs["value"]] = h
         return table
+
+
+def freeze_image(res: Resource) -> dict:
+    """Immutable image of ``res``: its ``__dict__`` with mutable fields
+    frozen.  Other values are immutable or append-only records shared by
+    reference (frozen ACLs, enum members, ``RemoteWrite`` rows)."""
+    image = dict(res.__dict__)
+    for name, freeze, _thaw in res._mutable_fields:
+        image[name] = freeze(image[name])
+    return image
+
+
+def thaw_image(cls: Type[Resource], image: dict) -> Resource:
+    """A new ``cls`` resource from an image (live or frozen): ``__new__``
+    plus one dict copy — the constructor would only re-derive what the
+    image already holds."""
+    res = cls.__new__(cls)
+    d = dict(image)
+    for name, _freeze, thaw in cls._mutable_fields:
+        d[name] = thaw(d[name])
+    res.__dict__ = d
+    return res
+
+
+class ResourceTable:
+    """A namespace of named resources: one ``key → resource`` dict.
+
+    Subclasses name the dict attribute (``_table``) and the resource class
+    it holds (``_resource``).  This class gives every namespace the one
+    copy mechanism environment copies go through — :meth:`clone` for a
+    fresh run, :meth:`snapshot_state`/:meth:`restore_state` for a resumed
+    one — each an image copy per resource (see :func:`thaw_image`).
+    """
+
+    #: Name of the ``key → resource`` dict attribute (``_nodes``, ``_keys`` …).
+    _table: str = ""
+    #: Class of every resource in the table.
+    _resource: Type[Resource] = Resource
+
+    def clone(self) -> "ResourceTable":
+        """Image copy of every resource, for a fresh run."""
+        other = type(self).__new__(type(self))
+        rows = ((None, key, res.__dict__) for key, res in getattr(self, self._table).items())
+        setattr(other, self._table, self._build(rows, None))
+        return other
+
+    # -- structured snapshot/restore --------------------------------------
+
+    def snapshot_state(self, rid_of: Callable[[Resource], int]) -> Tuple:
+        """Plain-data rows ``(rid, key, image)`` for
+        :class:`~repro.winenv.snapshot.EnvSnapshot`.  Images are frozen
+        because the capture run keeps mutating the live resources."""
+        return tuple(
+            (rid_of(res), key, freeze_image(res))
+            for key, res in getattr(self, self._table).items()
+        )
+
+    @classmethod
+    def restore_state(
+        cls, rows: Tuple, register: Callable[[int, Resource], None]
+    ) -> "ResourceTable":
+        """Rebuild the table now, registering each resource under its rid."""
+        table = cls.__new__(cls)
+        setattr(table, cls._table, cls._build(rows, register))
+        return table
+
+    @classmethod
+    def restore_lazy(cls, rows: Tuple) -> "ResourceTable":
+        """Defer the rebuild until the first namespace access — used by
+        ``EnvSnapshot.restore`` when no guest handle references a row, so
+        resumed runs that never touch the namespace never pay for it."""
+        table = cls.__new__(cls)
+        table._lazy_rows = rows
+        return table
+
+    def __getattr__(self, name: str):
+        if name == self._table:
+            rows = self.__dict__.pop("_lazy_rows", None)
+            if rows is not None:
+                resources = self._build(rows, None)
+                setattr(self, name, resources)
+                return resources
+        raise AttributeError(name)
+
+    @classmethod
+    def _build(cls, rows, register) -> dict:
+        """Thaw ``(rid, key, image)`` rows into a table.  Restores run once
+        per candidate × mechanism, so the loop is the inlined
+        :func:`thaw_image`, and a resource class without mutable fields
+        pays for nothing but the dict copy."""
+        res_cls = cls._resource
+        new = res_cls.__new__
+        fields = res_cls._mutable_fields
+        resources = {}
+        if not fields:
+            for rid, key, image in rows:
+                res = new(res_cls)
+                res.__dict__ = dict(image)
+                resources[key] = res
+                if register is not None:
+                    register(rid, res)
+            return resources
+        for rid, key, image in rows:
+            res = new(res_cls)
+            d = dict(image)
+            for name, _freeze, thaw in fields:
+                d[name] = thaw(d[name])
+            res.__dict__ = d
+            resources[key] = res
+            if register is not None:
+                register(rid, res)
+        return resources
 
 
 def _freeze_state(state: Dict[str, object]) -> Tuple:

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .acl import Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import HandleTable, Resource, ResourceType
+from .objects import HandleTable, Resource, ResourceType, freeze_image
 
 #: Benign processes present on a standard machine (injection targets).
 #: explorer.exe and svchost.exe run in the user session (medium integrity,
@@ -50,6 +50,14 @@ class Process(Resource):
     remote_writes: List[RemoteWrite] = field(default_factory=list)
     remote_threads: List[int] = field(default_factory=list)  # creator pids
     parent_pid: Optional[int] = None
+
+    # An image keeps no handle table: ``ProcessTable.restore_state`` refills
+    # it by rid in a second pass, and any other copy starts with none.
+    _mutable_fields = (
+        ("handles", lambda _table: None, lambda _table: HandleTable()),
+        ("remote_writes", tuple, list),
+        ("remote_threads", tuple, list),
+    )
 
     def __init__(
         self,
@@ -159,16 +167,11 @@ class ProcessTable:
         last-error slot and injection evidence — everything ``clone()``
         deliberately drops because it rebuilds from scratch.  ``RemoteWrite``
         records are append-only, so the rows share them by reference."""
-        rows = []
-        for pid, proc in self._procs.items():
-            attrs = dict(vars(proc))
-            attrs["handles"] = None  # restored separately (two-pass)
-            attrs["remote_writes"] = tuple(proc.remote_writes)
-            attrs["remote_threads"] = tuple(proc.remote_threads)
-            rows.append(
-                (rid_of(proc), pid, attrs, proc.handles.snapshot_state(rid_of))
-            )
-        return (self._next_pid, tuple(rows))
+        rows = tuple(
+            (rid_of(proc), pid, freeze_image(proc), proc.handles.snapshot_state(rid_of))
+            for pid, proc in self._procs.items()
+        )
+        return (self._next_pid, rows)
 
     @classmethod
     def restore_state(
@@ -188,10 +191,9 @@ class ProcessTable:
         pending = []
         new = Process.__new__
         for rid, pid, attrs, handle_state in rows:
-            # Image rebuild (see FileSystem.restore_state).  ``handles``
-            # stays None (from the captured image) until the caller runs the
-            # second pass over ``pending`` — every process gets its real
-            # table there (see the docstring above).
+            # ``thaw_image`` inlined, minus the empty handle table it would
+            # build: ``handles`` stays None (from the captured image) until
+            # the caller's second pass over ``pending`` fills it.
             proc = new(Process)
             d = dict(attrs)
             d["remote_writes"] = list(attrs["remote_writes"])

@@ -84,6 +84,65 @@ class TestStructuredRestore:
         (handle,) = list(proc2.handles)
         assert bytes(handle.resource.content) == b"XYZ"
 
+    @pytest.mark.parametrize(
+        "kind, namespace, key, payload",
+        [
+            (HandleKind.FILE, "filesystem", "c:\\tmp\\drop.bin", "content"),
+            (HandleKind.REGISTRY, "registry", "hklm\\software\\drop", "values"),
+            (HandleKind.MUTEX, "mutexes", "drop", None),
+            (HandleKind.SERVICE, "services", "dropsvc", None),
+            (HandleKind.WINDOW, "windows", "DropWnd", None),
+            (HandleKind.LIBRARY, "libraries", "drop.dll", None),
+        ],
+    )
+    def test_deleted_but_open_resource_survives_as_orphan(
+        self, kind, namespace, key, payload
+    ):
+        env, proc = machine()
+        create_and_delete = {
+            "filesystem": (
+                lambda: env.filesystem.create(key, SYS, content=b"XYZ"),
+                lambda: env.filesystem.delete(key, SYS),
+            ),
+            "registry": (
+                lambda: env.registry.create_key(key, SYS),
+                lambda: env.registry.delete_key(key, SYS),
+            ),
+            "mutexes": (
+                lambda: env.mutexes.create(key, SYS)[0],
+                lambda: env.mutexes.release(key),
+            ),
+            "services": (
+                lambda: env.services.create(key, "c:\\drop.sys", SYS),
+                lambda: env.services.delete(key, SYS),
+            ),
+            "windows": (
+                lambda: env.windows.register(key, title="t", owner_pid=proc.pid),
+                lambda: env.windows.destroy(key),
+            ),
+            "libraries": (
+                lambda: env.libraries.register(key, created_by=proc.pid),
+                lambda: env.libraries.remove(key),
+            ),
+        }
+        create, delete = create_and_delete[namespace]
+        res = create()
+        if namespace == "registry":
+            res.values["v"] = "x"
+        proc.handles.allocate(kind, res)
+        delete()
+        assert getattr(env, namespace).lookup(key) is None
+
+        env2, proc2 = roundtrip(env, proc)
+        (handle,) = list(proc2.handles)
+        orphan = handle.resource
+        assert orphan is not res and type(orphan) is type(res)
+        assert vars(orphan) == vars(res)
+        if payload is not None:
+            assert getattr(orphan, payload) is not getattr(res, payload)
+            assert type(getattr(orphan, payload)) is type(getattr(res, payload))
+        assert getattr(env2, namespace).lookup(key) is None
+
     def test_phantom_force_success_handle_round_trips(self):
         env, proc = machine()
         ghost = Resource(name="Ghost", rtype=ResourceType.MUTEX)
@@ -133,11 +192,11 @@ class TestStructuredRestore:
 
 
 class TestRestoredAttributeCompleteness:
-    """The restore paths rebuild objects via ``__new__`` + direct
-    assignment (constructors would only re-derive what the captured row
-    already holds).  Every attribute a constructor sets must therefore be
-    assigned explicitly — a new field added to any of these classes without
-    a restore line would silently resume with missing state."""
+    """Restores and clones rebuild objects via ``__new__`` plus a copy of
+    the whole captured image (constructors would only re-derive what the
+    image already holds), so every attribute comes along without a restore
+    line of its own.  These checks pin that: a copy carries exactly the
+    original's attributes, and its mutable payloads are its own."""
 
     def test_every_restored_object_matches_its_constructed_twin(self):
         env, proc = machine()
@@ -166,6 +225,33 @@ class TestRestoredAttributeCompleteness:
         for restored, original in pairs:
             assert original is not None and restored is not None
             assert keys(restored) == keys(original), type(original).__name__
+
+
+    def test_clone_copies_every_resource_image(self):
+        env, proc = machine()
+        env.filesystem.create("C:\\x.bin", SYS, content=b"d")
+        env.registry.create_key("HKLM\\Software\\X", SYS)
+        env.registry.set_value("HKLM\\Software\\X", "v", "x", SYS)
+        env.mutexes.create("m", SYS)
+        env.services.create("svc", "c:\\s.sys", SYS)
+        env.windows.register("WndCls", title="t", owner_pid=proc.pid)
+        env.libraries.block("evil.dll")
+        twin = env.clone()
+
+        for name in (
+            "filesystem", "registry", "mutexes", "services", "windows", "libraries"
+        ):
+            originals, copies = list(getattr(env, name)), list(getattr(twin, name))
+            assert len(copies) == len(originals), name
+            for copy, original in zip(copies, originals):
+                assert copy is not original
+                assert type(copy) is type(original)
+                assert list(vars(copy).items()) == list(vars(original).items())
+
+        twin.filesystem.write("C:\\x.bin", SYS, b"-more")
+        twin.registry.set_value("HKLM\\Software\\X", "v", "changed", SYS)
+        assert env.filesystem.read("C:\\x.bin", SYS) == b"d"
+        assert env.registry.query_value("HKLM\\Software\\X", "v", SYS) == "x"
 
 
 class TestLazyNamespaces:

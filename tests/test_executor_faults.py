@@ -10,6 +10,7 @@ hot re-crashing on restart.
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -137,6 +138,24 @@ class TestInlineFailures:
         )
         assert failure_table(result) == [(programs[1].name, "crash", 3)]
         assert obs.metrics.value("pipeline.sample_retries") == 2
+
+    def test_retry_is_logged(self, programs, caplog):
+        # The repro logger tree does not propagate to root, so attach
+        # caplog's handler to the executor's logger directly.
+        logger = logging.getLogger("repro.executor")
+        logger.addHandler(caplog.handler)
+        try:
+            plan = FaultPlan.parse("crash:0@1")
+            analyze_population(
+                programs[:1], config=fast_config(sample_retries=1), jobs=1, faults=plan
+            )
+        finally:
+            logger.removeHandler(caplog.handler)
+        retries = [r for r in caplog.records if r.getMessage() == "sample retry"]
+        assert len(retries) == 1
+        assert retries[0].kv_fields["sample"] == programs[0].name
+        assert retries[0].kv_fields["attempt"] == 1
+        assert retries[0].kv_fields["kind"] == "crash"
 
     def test_inline_hang_classified_as_timeout(self, programs):
         plan = FaultPlan.parse("hang:0")
